@@ -32,7 +32,11 @@
 //!   `DIR/run.status.json`, the artifacts `btlab watch` tails;
 //! * `--heartbeat-secs S` — heartbeat cadence (default 1.0);
 //! * `--out DIR` — where the manifest and observability artifacts
-//!   land, overriding `$BT_MANIFEST_DIR` (default `results/`).
+//!   land, overriding `$BT_MANIFEST_DIR` (default `results/`);
+//! * `-h` / `--help` — print the flag summary and exit 0.
+//!
+//! An unknown flag, a missing or malformed value, or an out-of-range
+//! value prints the error and the flag summary to stderr and exits 2.
 //!
 //! The manifest is written to `DIR/BENCH_swarm.json`. With the
 //! `alloc-profile` feature a counting global allocator is installed and
@@ -92,7 +96,37 @@ struct Options {
     out: Option<PathBuf>,
 }
 
-fn parse_args() -> Options {
+const USAGE: &str = "\
+USAGE:
+    swarm_scale [FLAGS]
+
+FLAGS:
+    --smoke               CI-sized run (500 peers, 30 rounds)
+    --peers N             population (default 5000)
+    --rounds N            rounds to run (default 60)
+    --seed N              model seed (default 7)
+    --profile FILE        attach the profiler and write its artifacts next to FILE
+    --observed            stream telemetry and a peer cohort into the output directory
+    --cohort-size N       cohort reservoir size for --observed (default 16, >= 1)
+    --threads N           worker threads for the parallel plan phases (default 1, >= 1)
+    --heartbeat           write run.heartbeat.jsonl and run.status.json
+    --heartbeat-secs S    heartbeat cadence in seconds (default 1.0, >= 0)
+    --out DIR             output directory (default $BT_MANIFEST_DIR, else results/)
+    -h, --help            print this text
+";
+
+/// What the command line asked for.
+enum Cli {
+    Run(Options),
+    Help,
+}
+
+fn number<T: std::str::FromStr>(name: &str, v: String) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{name} requires a number, got {v:?}"))
+}
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     let mut options = Options {
         peers: 5_000,
         rounds: 60,
@@ -105,66 +139,64 @@ fn parse_args() -> Options {
         heartbeat_secs: 1.0,
         out: None,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
-        let mut numeric = |name: &str| -> u64 {
+        let mut value = |name: &str| -> Result<String, String> {
             args.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{name} requires a numeric argument"))
+                .ok_or_else(|| format!("{name} requires a value"))
         };
         match arg.as_str() {
+            "-h" | "--help" => return Ok(Cli::Help),
             "--smoke" => {
                 options.peers = 500;
                 options.rounds = 30;
             }
-            "--peers" => options.peers = numeric("--peers") as u32,
-            "--rounds" => options.rounds = numeric("--rounds"),
-            "--seed" => options.seed = numeric("--seed"),
+            "--peers" => options.peers = number("--peers", value("--peers")?)?,
+            "--rounds" => options.rounds = number("--rounds", value("--rounds")?)?,
+            "--seed" => options.seed = number("--seed", value("--seed")?)?,
             "--observed" => options.observed = true,
             "--cohort-size" => {
-                let size = numeric("--cohort-size") as u32;
-                assert!(size >= 1, "--cohort-size must be >= 1");
-                options.cohort_size = size;
+                options.cohort_size = number("--cohort-size", value("--cohort-size")?)?;
+                if options.cohort_size < 1 {
+                    return Err("--cohort-size must be >= 1".to_string());
+                }
             }
             "--threads" => {
-                let threads = numeric("--threads") as u32;
-                assert!(threads >= 1, "--threads must be >= 1");
-                options.threads = threads;
+                options.threads = number("--threads", value("--threads")?)?;
+                if options.threads < 1 {
+                    return Err("--threads must be >= 1".to_string());
+                }
             }
             "--heartbeat" => options.heartbeat = true,
             "--heartbeat-secs" => {
-                let secs: f64 = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| panic!("--heartbeat-secs requires a numeric argument"));
-                assert!(secs >= 0.0, "--heartbeat-secs must be >= 0");
+                let secs: f64 = number("--heartbeat-secs", value("--heartbeat-secs")?)?;
+                if !(secs >= 0.0 && secs.is_finite()) {
+                    return Err("--heartbeat-secs must be a finite number >= 0".to_string());
+                }
                 options.heartbeat_secs = secs;
             }
-            "--profile" => {
-                let path = args
-                    .next()
-                    .unwrap_or_else(|| panic!("--profile requires a path argument"));
-                options.profile = Some(PathBuf::from(path));
-            }
-            "--out" => {
-                let path = args
-                    .next()
-                    .unwrap_or_else(|| panic!("--out requires a directory argument"));
-                options.out = Some(PathBuf::from(path));
-            }
-            other => panic!(
-                "unknown flag {other}; try --smoke / --peers / --rounds / --seed \
-                 / --profile / --observed / --cohort-size / --threads / --heartbeat \
-                 / --heartbeat-secs / --out"
-            ),
+            "--profile" => options.profile = Some(PathBuf::from(value("--profile")?)),
+            "--out" => options.out = Some(PathBuf::from(value("--out")?)),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    options
+    Ok(Cli::Run(options))
 }
 
 fn main() {
     bt_bench::init_obs();
-    let options = parse_args();
+    let options = match parse_args(std::env::args().skip(1)) {
+        Ok(Cli::Run(options)) => options,
+        Ok(Cli::Help) => {
+            print!("{USAGE}");
+            return;
+        }
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            eprint!("{USAGE}");
+            std::process::exit(2);
+        }
+    };
     let config = bt_swarm::scenario::scale_probe(options.peers, options.rounds, options.seed)
         .expect("valid benchmark config");
 

@@ -378,9 +378,9 @@ impl SwarmCore {
             }
             handout.extend_from_slice(&trapped[..take]);
         }
-        let rest = self
-            .tracker
-            .handout(id, &handout, want - handout.len(), &mut self.rng);
+        let mut rest = Vec::with_capacity(want - handout.len());
+        self.tracker
+            .handout_into(&mut rest, id, &handout, want - handout.len(), &mut self.rng);
         handout.extend(rest);
         let evict = self.config.join_eviction;
         for other in handout {

@@ -3,13 +3,26 @@
 //! Mirrors the paper's §2.1 description: a joining peer obtains a random
 //! peer list from the tracker, refreshes it on periodic contact, and — in
 //! the §7.1 *shake* extension — can request an entirely fresh random set.
+//!
+//! Peers register in arrival order, and arrival order is id order (the
+//! store issues sequence numbers in increasing order), so the alive list
+//! is always sorted and a peer's rank is one binary search. A handout
+//! samples *positions* of the filtered candidate list (alive peers minus
+//! the requester and its exclusions) lazily instead of materialising it:
+//! O(s·log N + count·s) per call for an exclusion list of length s and
+//! `count ≤ s` (every engine caller asks for at most s), against O(N·s)
+//! for filter-then-shuffle. The draw sequence is unchanged (the same
+//! `gen_range` calls in the same order with the same bounds), so every
+//! handout, and with it every run, is bit-identical to the
+//! filter-then-shuffle sampler it replaced.
 
 use rand::Rng;
 
 use crate::peer::PeerId;
 
 /// The swarm tracker. Keeps the set of alive peers in join order (which
-/// keeps handouts deterministic for a given RNG stream).
+/// keeps handouts deterministic for a given RNG stream); join order is
+/// also id order, so the list is sorted.
 #[derive(Debug, Clone, Default)]
 pub struct Tracker {
     alive: Vec<PeerId>,
@@ -34,24 +47,33 @@ impl Tracker {
         self.alive.is_empty()
     }
 
-    /// Registers a peer.
+    /// Registers a newly arrived peer.
     ///
     /// # Panics
     ///
-    /// Panics if the peer is already registered (identifiers are unique).
+    /// Panics if the peer is already registered (identifiers are unique),
+    /// or if it does not arrive after every registered peer: handouts rely
+    /// on the alive list being sorted by id.
     pub fn register(&mut self, id: PeerId) {
-        assert!(
-            !self.alive.contains(&id),
-            "{id} registered twice with the tracker"
-        );
+        if let Some(&last) = self.alive.last() {
+            assert!(last != id, "{id} registered twice with the tracker");
+            assert!(
+                last < id,
+                "{id} registered after {last}, out of arrival order"
+            );
+        }
         self.alive.push(id);
     }
 
     /// Deregisters a departing peer. Returns `true` if it was registered.
     pub fn deregister(&mut self, id: PeerId) -> bool {
-        let before = self.alive.len();
-        self.alive.retain(|&p| p != id);
-        before != self.alive.len()
+        match self.alive.binary_search(&id) {
+            Ok(i) => {
+                self.alive.remove(i);
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     /// The alive peers in join order.
@@ -60,27 +82,17 @@ impl Tracker {
         &self.alive
     }
 
-    /// Hands out up to `count` distinct random peers, excluding `requester`
-    /// and anything in `exclude`.
+    /// Hands out up to `count` distinct random peers, excluding
+    /// `requester` and anything in `exclude`, into `out`: the buffer is
+    /// cleared and left holding the sampled peers, and its capacity is
+    /// reused across calls.
     ///
-    /// Sampling is a partial Fisher–Yates over a candidate list, so the
-    /// result is uniform without replacement.
-    pub fn handout<R: Rng + ?Sized>(
-        &self,
-        requester: PeerId,
-        exclude: &[PeerId],
-        count: usize,
-        rng: &mut R,
-    ) -> Vec<PeerId> {
-        let mut candidates = Vec::new();
-        self.handout_into(&mut candidates, requester, exclude, count, rng);
-        candidates
-    }
-
-    /// [`handout`](Self::handout) into a caller-supplied buffer, for hot
-    /// loops that hand out every round: the buffer is cleared and left
-    /// holding the sampled peers, and its capacity is reused across
-    /// calls. RNG consumption is identical to `handout`.
+    /// Sampling is a partial Fisher–Yates over the filtered candidate
+    /// list (alive peers in join order, minus the requester and the
+    /// exclusions), so the result is uniform without replacement. The
+    /// list is never built: positions are mapped to alive indices through
+    /// the sorted ranks of the skipped peers, and the few positions the
+    /// shuffle has swapped are kept in a short list sorted by position.
     pub fn handout_into<R: Rng + ?Sized>(
         &self,
         out: &mut Vec<PeerId>,
@@ -90,26 +102,101 @@ impl Tracker {
         rng: &mut R,
     ) {
         out.clear();
-        out.extend(
-            self.alive
-                .iter()
-                .copied()
-                .filter(|&p| p != requester && !exclude.contains(&p)),
+        // Alive indices of the skipped peers, sorted and deduplicated;
+        // exclusions that are not registered skip nothing.
+        let mut skip = Vec::with_capacity(exclude.len() + 1);
+        skip.extend(
+            std::iter::once(&requester)
+                .chain(exclude)
+                .filter_map(|p| self.alive.binary_search(p).ok()),
         );
-        let take = count.min(out.len());
-        for i in 0..take {
-            let j = rng.gen_range(i..out.len());
-            out.swap(i, j);
+        skip.sort_unstable();
+        skip.dedup();
+        let len = self.alive.len() - skip.len();
+        let take = count.min(len);
+        // `skip[k] - k` counts the candidates before the k-th skipped
+        // index. It is nondecreasing, so the number of skipped indices
+        // before the candidate at filtered position `pos` is one binary
+        // search.
+        for (k, s) in skip.iter_mut().enumerate() {
+            *s -= k;
         }
-        out.truncate(take);
+        let below = skip;
+        let at = |pos: usize| self.alive[pos + below.partition_point(|&b| b <= pos)];
+        // (position, peer) for positions the shuffle has written to, sorted
+        // by position. Entries before `head` are at positions already
+        // handed out.
+        let mut moved: Vec<(usize, PeerId)> = Vec::with_capacity(take);
+        let mut head = 0;
+        for i in 0..take {
+            let j = rng.gen_range(i..len);
+            // The value at position i, the smallest position not yet
+            // handed out.
+            let here = match moved.get(head) {
+                Some(&(p, id)) if p == i => {
+                    head += 1;
+                    id
+                }
+                _ => at(i),
+            };
+            if j == i {
+                out.push(here);
+                continue;
+            }
+            // Swap: hand out the value at j, which now holds `here`.
+            match moved[head..].binary_search_by_key(&j, |&(p, _)| p) {
+                Ok(k) => out.push(std::mem::replace(&mut moved[head + k].1, here)),
+                Err(k) => {
+                    out.push(at(j));
+                    moved.insert(head + k, (j, here));
+                }
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// The filter-then-shuffle sampler `handout_into` replaced: copy every
+    /// candidate, then run a partial Fisher–Yates over the copy. The
+    /// oracle for output and RNG consumption.
+    fn reference_handout<R: Rng + ?Sized>(
+        alive: &[PeerId],
+        requester: PeerId,
+        exclude: &[PeerId],
+        count: usize,
+        rng: &mut R,
+    ) -> Vec<PeerId> {
+        let mut out: Vec<PeerId> = alive
+            .iter()
+            .copied()
+            .filter(|&p| p != requester && !exclude.contains(&p))
+            .collect();
+        let take = count.min(out.len());
+        for i in 0..take {
+            let j = rng.gen_range(i..out.len());
+            out.swap(i, j);
+        }
+        out.truncate(take);
+        out
+    }
+
+    fn ids(seqs: &[u64]) -> Vec<PeerId> {
+        seqs.iter().copied().map(PeerId::synthetic).collect()
+    }
+
+    fn tracker_of(n: u64) -> Tracker {
+        let mut t = Tracker::new();
+        for i in 0..n {
+            t.register(PeerId::synthetic(i));
+        }
+        t
+    }
 
     #[test]
     fn register_and_deregister() {
@@ -132,13 +219,20 @@ mod tests {
     }
 
     #[test]
-    fn handout_excludes_requester_and_existing() {
+    #[should_panic(expected = "out of arrival order")]
+    fn out_of_order_registration_panics() {
         let mut t = Tracker::new();
-        for i in 0..10 {
-            t.register(PeerId::synthetic(i));
-        }
+        t.register(PeerId::synthetic(1));
+        t.register(PeerId::synthetic(3));
+        t.register(PeerId::synthetic(2));
+    }
+
+    #[test]
+    fn handout_excludes_requester_and_existing() {
+        let t = tracker_of(10);
         let mut rng = StdRng::seed_from_u64(1);
-        let got = t.handout(PeerId::synthetic(0), &[PeerId::synthetic(1), PeerId::synthetic(2)], 20, &mut rng);
+        let mut got = Vec::new();
+        t.handout_into(&mut got, PeerId::synthetic(0), &ids(&[1, 2]), 20, &mut rng);
         assert_eq!(got.len(), 7, "10 minus requester minus 2 excluded");
         assert!(!got.contains(&PeerId::synthetic(0)));
         assert!(!got.contains(&PeerId::synthetic(1)));
@@ -147,12 +241,10 @@ mod tests {
 
     #[test]
     fn handout_is_without_replacement() {
-        let mut t = Tracker::new();
-        for i in 0..50 {
-            t.register(PeerId::synthetic(i));
-        }
+        let t = tracker_of(50);
         let mut rng = StdRng::seed_from_u64(2);
-        let got = t.handout(PeerId::synthetic(0), &[], 49, &mut rng);
+        let mut got = Vec::new();
+        t.handout_into(&mut got, PeerId::synthetic(0), &[], 49, &mut rng);
         let mut sorted = got.clone();
         sorted.sort();
         sorted.dedup();
@@ -161,29 +253,86 @@ mod tests {
 
     #[test]
     fn handout_respects_count() {
-        let mut t = Tracker::new();
-        for i in 0..30 {
-            t.register(PeerId::synthetic(i));
-        }
+        let t = tracker_of(30);
         let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(t.handout(PeerId::synthetic(0), &[], 5, &mut rng).len(), 5);
-        assert_eq!(t.handout(PeerId::synthetic(0), &[], 0, &mut rng).len(), 0);
+        let mut got = Vec::new();
+        t.handout_into(&mut got, PeerId::synthetic(0), &[], 5, &mut rng);
+        assert_eq!(got.len(), 5);
+        t.handout_into(&mut got, PeerId::synthetic(0), &[], 0, &mut rng);
+        assert_eq!(got.len(), 0);
     }
 
     #[test]
     fn handout_covers_population_over_draws() {
         // Every candidate is reachable (uniformity smoke test).
-        let mut t = Tracker::new();
-        for i in 0..6 {
-            t.register(PeerId::synthetic(i));
-        }
+        let t = tracker_of(6);
         let mut rng = StdRng::seed_from_u64(4);
         let mut seen = std::collections::HashSet::new();
+        let mut got = Vec::new();
         for _ in 0..200 {
-            for p in t.handout(PeerId::synthetic(0), &[], 1, &mut rng) {
-                seen.insert(p);
-            }
+            t.handout_into(&mut got, PeerId::synthetic(0), &[], 1, &mut rng);
+            seen.extend(got.iter().copied());
         }
         assert_eq!(seen.len(), 5);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The lazy sampler hands out exactly what filter-then-shuffle
+        /// does and leaves the RNG at the same point.
+        #[test]
+        fn handout_matches_filter_then_shuffle(
+            registered in 0u64..80,
+            departed in prop::collection::btree_set(0u64..80, 0..40),
+            exclude in prop::collection::vec(0u64..90, 0..16),
+            duplicates in 0usize..4,
+            requester_alive in prop::bool::ANY,
+            pick in any::<u64>(),
+            count_kind in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            let mut t = tracker_of(registered);
+            for &d in &departed {
+                t.deregister(PeerId::synthetic(d));
+            }
+            let alive = t.peers().to_vec();
+            // A requester that is registered, or one that departed or
+            // never arrived.
+            let requester = if requester_alive && !alive.is_empty() {
+                alive[(pick % alive.len() as u64) as usize]
+            } else {
+                let gone: Vec<u64> = departed.iter().copied().filter(|&d| d < registered).collect();
+                if gone.is_empty() || pick % 2 == 0 {
+                    PeerId::synthetic(registered + pick % 5)
+                } else {
+                    PeerId::synthetic(gone[(pick % gone.len() as u64) as usize])
+                }
+            };
+            // Exclusions mix alive, departed and never-registered ids,
+            // with some repeated.
+            let mut exclude = ids(&exclude);
+            let repeat = duplicates.min(exclude.len());
+            exclude.extend_from_within(..repeat);
+            let len = alive
+                .iter()
+                .filter(|&&p| p != requester && !exclude.contains(&p))
+                .count();
+            let count = match count_kind {
+                0 => 0,
+                1 => len,
+                2 => len + 1 + (pick % 7) as usize,
+                _ => (pick % (len as u64 + 1)) as usize,
+            };
+
+            let mut expected_rng = StdRng::seed_from_u64(seed);
+            let expected = reference_handout(&alive, requester, &exclude, count, &mut expected_rng);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut got = vec![PeerId::synthetic(u64::MAX)];
+            t.handout_into(&mut got, requester, &exclude, count, &mut rng);
+            prop_assert_eq!(&got, &expected);
+            prop_assert_eq!(got.len(), count.min(len));
+            prop_assert_eq!(rng.next_u64(), expected_rng.next_u64(), "RNG draw count differs");
+        }
     }
 }
