@@ -197,8 +197,15 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let config = bt_swarm::scenario::scale_probe(options.peers, options.rounds, options.seed)
-        .expect("valid benchmark config");
+    let config = match bt_swarm::scenario::scale_probe(options.peers, options.rounds, options.seed)
+    {
+        Ok(config) => config,
+        Err(e) => {
+            eprintln!("error: {e}");
+            eprint!("{USAGE}");
+            std::process::exit(2);
+        }
+    };
 
     let out_dir = options
         .out

@@ -56,3 +56,11 @@ fn malformed_or_out_of_range_value_is_a_usage_error() {
     );
     assert_usage_error(&swarm_scale(&["--threads", "0"]), "--threads must be >= 1");
 }
+
+#[test]
+fn invalid_config_is_a_usage_error() {
+    assert_usage_error(
+        &swarm_scale(&["--rounds", "0"]),
+        "max_rounds must be at least 1",
+    );
+}

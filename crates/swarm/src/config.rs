@@ -418,8 +418,9 @@ impl SwarmConfigBuilder {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] for zero counts, probabilities outside
-    /// `[0, 1]`, negative rates, or a shake fraction outside `(0, 1)`.
+    /// [`Error::InvalidConfig`] for zero counts, a neighbor set larger
+    /// than `u16::MAX`, probabilities outside `[0, 1]`, negative rates,
+    /// or a shake fraction outside `(0, 1)`.
     pub fn build(&self) -> Result<SwarmConfig> {
         let c = &self.config;
         if c.pieces == 0 {
@@ -434,6 +435,14 @@ impl SwarmConfigBuilder {
             return Err(Error::InvalidConfig(
                 "neighbor_set_size must be at least 1".into(),
             ));
+        }
+        // Neighbor-local replication views count holders in u16 cells.
+        if c.neighbor_set_size > u32::from(u16::MAX) {
+            return Err(Error::InvalidConfig(format!(
+                "neighbor_set_size {} exceeds {}, the most a neighbor view can count",
+                c.neighbor_set_size,
+                u16::MAX
+            )));
         }
         if c.max_rounds == 0 {
             return Err(Error::InvalidConfig("max_rounds must be at least 1".into()));
@@ -527,11 +536,29 @@ mod tests {
         assert!(SwarmConfig::builder().pieces(0).build().is_err());
         assert!(SwarmConfig::builder().max_connections(0).build().is_err());
         assert!(SwarmConfig::builder().neighbor_set_size(0).build().is_err());
+
         assert!(SwarmConfig::builder().max_rounds(0).build().is_err());
         assert!(SwarmConfig::builder()
             .reannounce_interval(0)
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn rejects_neighbor_sets_a_view_cannot_count() {
+        assert!(SwarmConfig::builder()
+            .neighbor_set_size(u32::from(u16::MAX))
+            .build()
+            .is_ok());
+        let err = SwarmConfig::builder()
+            .neighbor_set_size(u32::from(u16::MAX) + 1)
+            .build()
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("neighbor_set_size 65536 exceeds 65535"),
+            "{err}"
+        );
     }
 
     #[test]

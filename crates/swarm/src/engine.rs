@@ -57,10 +57,12 @@ enum Event {
 /// Internal stages reach the fields directly; external
 /// [`RoundStage`] implementations use the accessor methods plus the
 /// mutation entry points [`acquire_piece`](SwarmCore::acquire_piece),
-/// [`receive_block`](SwarmCore::receive_block), and
-/// [`depart`](SwarmCore::depart), which keep the replication index in
-/// sync with piece possession. Mutating bitfields through
-/// [`store_mut`](SwarmCore::store_mut) directly bypasses the index —
+/// [`receive_block`](SwarmCore::receive_block),
+/// [`add_symmetric_neighbor`](SwarmCore::add_symmetric_neighbor), and
+/// [`depart`](SwarmCore::depart), which keep the replication index and
+/// the store's neighbor views in sync with piece possession and
+/// neighbor sets. Mutating bitfields or neighbor lists through
+/// [`store_mut`](SwarmCore::store_mut) directly bypasses both —
 /// [`Swarm::assert_invariants`] will catch the drift.
 #[derive(Debug)]
 pub struct SwarmCore {
@@ -125,10 +127,11 @@ impl SwarmCore {
     }
 
     /// Mutable access to the peer store, for custom stages that edit
-    /// topology (neighbors, connections, credit). Piece possession must
-    /// go through [`acquire_piece`](Self::acquire_piece) /
-    /// [`receive_block`](Self::receive_block) so the replication index
-    /// stays in sync.
+    /// connections or credit. Piece possession must go through
+    /// [`acquire_piece`](Self::acquire_piece) /
+    /// [`receive_block`](Self::receive_block), and new neighbors through
+    /// [`add_symmetric_neighbor`](Self::add_symmetric_neighbor), so the
+    /// replication index and the neighbor views stay in sync.
     #[must_use]
     pub fn store_mut(&mut self) -> &mut PeerStore {
         &mut self.store
@@ -204,6 +207,7 @@ impl SwarmCore {
         let round = self.round;
         if self.store.peer_mut(id).acquire(piece, round) {
             self.replication.on_acquire(piece);
+            self.store.view_acquired(id, piece);
             self.audit.pieces_acquired += 1;
             let count = self.store.peer(id).have.count();
             self.piece_cells.shift(count - 1, count);
@@ -224,6 +228,7 @@ impl SwarmCore {
         let blocks = self.config.blocks_per_piece;
         if self.store.peer_mut(id).receive_block(piece, blocks, round) {
             self.replication.on_acquire(piece);
+            self.store.view_acquired(id, piece);
             self.audit.pieces_acquired += 1;
             let count = self.store.peer(id).have.count();
             self.piece_cells.shift(count - 1, count);
@@ -247,6 +252,7 @@ impl SwarmCore {
             .remove(id)
             .expect("departing peer must be alive");
         self.replication.on_departure(&peer.have);
+        self.store.view_departed(&peer);
         self.piece_cells.decr(peer.have.count());
         self.audit.pieces_departed += u64::from(peer.have.count());
         self.audit.conn_closed += peer.connections.len() as u64;
@@ -258,6 +264,26 @@ impl SwarmCore {
             }
         }
         peer
+    }
+
+    /// Drops `id`'s whole neighbor set and its connections (§7.1
+    /// shake), removing the backlinks and their view entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not alive.
+    pub(crate) fn shake_peer(&mut self, id: PeerId) {
+        self.audit.conn_closed += self.store.peer(id).connections.len() as u64;
+        // Take the neighbor list instead of cloning it; shake() clears
+        // the (now empty) list anyway.
+        let ex_neighbors = std::mem::take(&mut self.store.peer_mut(id).neighbors);
+        self.store.peer_mut(id).shake();
+        for &other in &ex_neighbors {
+            if let Some(o) = self.store.get_mut(other) {
+                o.remove_neighbor(id);
+                self.store.view_link(id, other, false);
+            }
+        }
     }
 
     /// The potential set size of `id`: alive neighbors with mutual
@@ -313,6 +339,7 @@ impl SwarmCore {
         }
         self.store.peer_mut(a).add_neighbor(b);
         self.store.peer_mut(b).add_neighbor(a);
+        self.store.view_link(a, b, true);
         true
     }
 
@@ -344,6 +371,7 @@ impl SwarmCore {
         self.store.peer_mut(id).remove_neighbor(victim);
         if let Some(v) = self.store.get_mut(victim) {
             v.remove_neighbor(id);
+            self.store.view_link(id, victim, false);
         }
         true
     }
@@ -470,6 +498,15 @@ impl SwarmCore {
                     self.replication.on_acquire(0);
                 }
             }
+            FaultKind::ViewDrift => {
+                if let Some(&id) = self.tracker.peers().first() {
+                    if !self.store.views_live() {
+                        self.store.build_views(self.config.pieces);
+                    }
+                    let entry = self.store.view_entry_mut(id, 0);
+                    *entry = entry.wrapping_add(1);
+                }
+            }
             FaultKind::HalfOpenConnection => {
                 let k = self.config.max_connections as usize;
                 let mut found = None;
@@ -571,12 +608,24 @@ impl Swarm {
     /// off, no departures, an experimental policy stage, …). Stages run
     /// in the given order every round, each under a phase timer resolved
     /// from its [`RoundStage::timer_name`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.neighbor_set_size` exceeds `u16::MAX`, which
+    /// [`SwarmConfig::builder`] already rejects.
     #[must_use]
     pub fn with_pipeline(
         config: SwarmConfig,
         registry: bt_obs::Registry,
         stages: Vec<Box<dyn RoundStage>>,
     ) -> Self {
+        // The builder rejects this; a config assembled another way must
+        // not let the u16 neighbor-view counts wrap.
+        assert!(
+            config.neighbor_set_size <= u32::from(u16::MAX),
+            "neighbor_set_size {} exceeds the u16 neighbor-view counts",
+            config.neighbor_set_size
+        );
         let rng = SeedStream::new(config.seed).rng("swarm", 0);
         let pipeline = stages
             .into_iter()
@@ -934,6 +983,7 @@ impl Swarm {
         for entry in &mut self.pipeline {
             self.core.profile.begin_stage(entry.stage.name());
             let probes_before = self.core.store.probe_count();
+            let view_updates_before = self.core.store.view_update_count();
             let alloc_before = bt_obs::mem::allocated_bytes_total();
             {
                 let _g = entry.timer.start();
@@ -941,6 +991,16 @@ impl Swarm {
             }
             let probes = self.core.store.probe_count().wrapping_sub(probes_before);
             self.core.profile.add_work("store.slab_probes", probes);
+            let view_updates = self
+                .core
+                .store
+                .view_update_count()
+                .wrapping_sub(view_updates_before);
+            if view_updates > 0 {
+                self.core
+                    .profile
+                    .add_work("store.view_updates", view_updates);
+            }
             // Allocation attribution: the delta is nonzero only when a
             // counting allocator is installed (`alloc-profile` feature
             // of bt-bench); otherwise this is two relaxed atomic loads.
@@ -991,7 +1051,7 @@ impl Swarm {
             return;
         };
         if doctor.due(self.core.round) {
-            let sample = MonitorSample::capture(&self.core);
+            let sample = MonitorSample::capture(&self.core, doctor.view_cursor());
             let telemetry = self.current_sample();
             let violations = doctor.observe(&sample, telemetry);
             if !violations.is_empty() {
@@ -1152,9 +1212,10 @@ impl Swarm {
     }
 
     /// Checks the structural invariants: symmetric neighbor and
-    /// connection relations, the `k` cap, and the replication index
-    /// agreeing with a from-scratch rebuild (its property-test oracle);
-    /// used by tests and debug assertions.
+    /// connection relations, the `k` cap, the replication index and
+    /// (once built) the whole neighbor-view table agreeing with
+    /// from-scratch rebuilds (their property-test oracles); used by
+    /// tests and debug assertions.
     ///
     /// # Panics
     ///
@@ -1204,6 +1265,12 @@ impl Swarm {
             &cells_oracle[..],
             "piece-count cells diverged from the per-peer recount"
         );
+        if let Some((id, piece, kept, rebuilt)) = core.store.view_divergence() {
+            panic!(
+                "{id}'s neighbor view diverged from the rebuild: piece {piece} \
+                 has {kept} vs {rebuilt}"
+            );
+        }
     }
 }
 
@@ -1882,6 +1949,73 @@ mod plan_commit_tests {
             }
             serial.assert_invariants();
             sharded.assert_invariants();
+        }
+    }
+
+    fn upkeep_config(pieces: u32, seed: u64) -> SwarmConfig {
+        SwarmConfig::builder()
+            .pieces(pieces)
+            .max_connections(2)
+            .neighbor_set_size(4)
+            .arrival_rate(0.0)
+            .initial_leechers(10)
+            .initial_pieces(InitialPieces::Random { count: 2 })
+            .blocks_per_piece(2)
+            .seed(seed)
+            .build()
+            .unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Neighbor-view upkeep equals a from-scratch rebuild after any
+        /// sequence of links, evictions, acquisitions, block deliveries,
+        /// departures, shakes and arrivals into reused slots, with the
+        /// lazy first build landing anywhere in the sequence.
+        #[test]
+        fn view_upkeep_matches_rebuild(
+            pieces in 2u32..130,
+            build_at in 0usize..40,
+            ops in prop::collection::vec((0u8..7, any::<u16>(), any::<u16>(), any::<u16>()), 0..60),
+            seed in any::<u64>(),
+        ) {
+            let mut swarm = Swarm::new(upkeep_config(pieces, seed));
+            let core = &mut swarm.core;
+            for (i, &(kind, x, y, z)) in ops.iter().enumerate() {
+                if i == build_at {
+                    core.store.build_views(pieces);
+                }
+                let alive = core.tracker.peers().to_vec();
+                if alive.is_empty() && kind != 6 {
+                    continue;
+                }
+                let pick = |v: u16| alive[usize::from(v) % alive.len()];
+                let piece = u32::from(z) % pieces;
+                match kind {
+                    0 => {
+                        core.add_symmetric_neighbor(pick(x), pick(y), z % 2 == 0);
+                    }
+                    1 => {
+                        core.evict_idle_neighbor(pick(x));
+                    }
+                    2 => {
+                        core.acquire_piece(pick(x), piece);
+                    }
+                    3 => {
+                        core.receive_block(pick(x), piece);
+                    }
+                    4 => {
+                        core.depart(pick(x));
+                    }
+                    5 => core.shake_peer(pick(x)),
+                    _ => {
+                        let id = core.spawn_peer();
+                        core.endow_initial(id);
+                    }
+                }
+                prop_assert_eq!(core.store.view_divergence(), None, "after op {} (kind {})", i, kind);
+            }
         }
     }
 

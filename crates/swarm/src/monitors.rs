@@ -7,11 +7,12 @@
 //!
 //! * [`MonitorSample`] — the state slice captured at the sampling
 //!   cadence: audit tallies, piece totals, degrees, the replication
-//!   index next to its from-scratch oracle, and per-observer phases;
+//!   index next to its from-scratch oracle, a window of neighbor views
+//!   checked against rebuilds, and per-observer phases;
 //! * the built-in monitors — [`PieceConservation`],
-//!   [`ReplicationOracle`], [`EntropyCollapse`] (one-club detection per
-//!   Zhu & Hajek, arXiv 1110.2753), [`PhaseMonotonic`], and
-//!   [`SlotBalance`];
+//!   [`ReplicationOracle`], [`NeighborViewOracle`], [`EntropyCollapse`]
+//!   (one-club detection per Zhu & Hajek, arXiv 1110.2753),
+//!   [`PhaseMonotonic`], and [`SlotBalance`];
 //! * [`SwarmDoctor`] — the harness the engine drives: a flight recorder
 //!   of recent checks, a trailing telemetry window, and the bundle
 //!   writer that captures forensic context the moment a check fails;
@@ -35,6 +36,7 @@ use bt_obs::{DiagnosisBundle, Monitor, MonitorReport, MonitorSet, Violation};
 use crate::audit::SwarmAudit;
 use crate::engine::SwarmCore;
 use crate::selection::replication_counts;
+use crate::store::first_difference;
 use crate::telemetry::TelemetrySample;
 
 /// One observer peer's state inside a [`MonitorSample`].
@@ -48,11 +50,36 @@ pub struct ObserverPhase {
     pub phase: Phase,
 }
 
+/// At most this many peers' neighbor views are checked against a
+/// rebuild per sampled round, so the check's cost does not grow with
+/// the population.
+pub const VIEW_CHECKS_PER_SAMPLE: usize = 64;
+
+/// A sampled round stops checking views once the checked peers'
+/// neighbor lists sum to this many links: a rebuild reads one bitfield
+/// per link, so this bounds the check's cost at large neighbor sets
+/// (8 peers at the paper's `s = 40`) as well as at large populations.
+pub const VIEW_CHECK_LINKS_PER_SAMPLE: usize = 320;
+
+/// One checked peer whose neighbor view differs from its rebuild: the
+/// first differing piece and both counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ViewMismatch {
+    /// Peer sequence number.
+    pub peer: u64,
+    /// First piece whose count differs.
+    pub piece: u32,
+    /// The maintained count.
+    pub kept: u16,
+    /// The rebuilt count.
+    pub rebuilt: u16,
+}
+
 /// The state slice the monitors judge, captured once per sampled round.
 ///
 /// Capturing is a read-only scan — O(population) plus one
-/// [`replication_counts`] rebuild for the oracle — and makes no RNG
-/// calls.
+/// [`replication_counts`] rebuild for the oracle and a bounded window
+/// of neighbor-view rebuilds — and makes no RNG calls.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitorSample {
     /// Round the sample was taken.
@@ -79,12 +106,22 @@ pub struct MonitorSample {
     pub oracle: Vec<u64>,
     /// Observer peers currently alive, with their classified phases.
     pub observers: Vec<ObserverPhase>,
+    /// Sequence numbers of the peers whose neighbor view was checked:
+    /// a window of alive peers in sequence order, starting at the
+    /// doctor's rotating cursor and bounded by
+    /// [`VIEW_CHECKS_PER_SAMPLE`] and [`VIEW_CHECK_LINKS_PER_SAMPLE`]
+    /// (empty while the views are unbuilt).
+    pub views_checked: Vec<u64>,
+    /// The checked peers whose view differs from the rebuild.
+    pub view_mismatches: Vec<ViewMismatch>,
 }
 
 impl MonitorSample {
-    /// Captures a sample from the core.
+    /// Captures a sample from the core, checking the neighbor views of
+    /// the window of peers from sequence number `view_cursor` on
+    /// (wrapping to the first peer).
     #[must_use]
-    pub(crate) fn capture(core: &SwarmCore) -> MonitorSample {
+    pub(crate) fn capture(core: &SwarmCore, view_cursor: u64) -> MonitorSample {
         let mut held_total = 0u64;
         let mut degree_sum = 0u64;
         let mut max_degree = 0u64;
@@ -113,6 +150,36 @@ impl MonitorSample {
             core.config.pieces,
             core.tracker.peers().iter().map(|&id| &core.store.peer(id).have),
         );
+        let mut views_checked = Vec::new();
+        let mut view_mismatches = Vec::new();
+        if core.store.views_live() {
+            let peers = core.tracker.peers();
+            let start = peers.partition_point(|id| id.seq() < view_cursor);
+            let window = peers[start..]
+                .iter()
+                .chain(&peers[..start])
+                .take(VIEW_CHECKS_PER_SAMPLE);
+            let mut rebuilt = vec![0u16; core.config.pieces as usize];
+            let mut links = 0;
+            for &id in window {
+                if links >= VIEW_CHECK_LINKS_PER_SAMPLE {
+                    break;
+                }
+                links += core.store.peer(id).neighbors.len();
+                core.store.rebuild_view_into(id, &mut rebuilt);
+                views_checked.push(id.seq());
+                if let Some((piece, kept, rebuilt)) =
+                    first_difference(core.store.view(id), &rebuilt)
+                {
+                    view_mismatches.push(ViewMismatch {
+                        peer: id.seq(),
+                        piece,
+                        kept,
+                        rebuilt,
+                    });
+                }
+            }
+        }
         MonitorSample {
             round: core.round,
             population: core.tracker.len() as u64,
@@ -126,6 +193,8 @@ impl MonitorSample {
             replication: core.replication.counts().to_vec(),
             oracle,
             observers,
+            views_checked,
+            view_mismatches,
         }
     }
 }
@@ -215,6 +284,48 @@ impl Monitor<MonitorSample> for ReplicationOracle {
             ),
         );
         v.subjects = divergent;
+        vec![v]
+    }
+}
+
+/// Every peer's incrementally maintained neighbor view
+/// ([`crate::store::PeerStore::view`]) must agree with a from-scratch
+/// rebuild over its neighbors' bitfields. Each sampled round checks a
+/// rotating window of at most [`VIEW_CHECKS_PER_SAMPLE`] peers and
+/// [`VIEW_CHECK_LINKS_PER_SAMPLE`] links, so the doctor's cost stays
+/// bounded at any population and neighbor-set size.
+#[derive(Debug, Default)]
+pub struct NeighborViewOracle;
+
+impl Monitor<MonitorSample> for NeighborViewOracle {
+    fn name(&self) -> &'static str {
+        "neighbor-view-oracle"
+    }
+
+    fn check(&mut self, sample: &MonitorSample) -> Vec<Violation> {
+        let Some(first) = sample.view_mismatches.first() else {
+            return Vec::new();
+        };
+        let mut v = violation(
+            self.name(),
+            sample,
+            format!(
+                "{} of {} checked neighbor views diverged from the rebuild; \
+                 first: peer {} piece {} has {} vs rebuilt {}",
+                sample.view_mismatches.len(),
+                sample.views_checked.len(),
+                first.peer,
+                first.piece,
+                first.kept,
+                first.rebuilt,
+            ),
+        );
+        v.subjects = sample
+            .view_mismatches
+            .iter()
+            .map(|m| m.peer)
+            .take(8)
+            .collect();
         vec![v]
     }
 }
@@ -395,6 +506,7 @@ pub fn default_monitors(entropy_floor: f64, entropy_min_population: u64) -> Moni
     let mut set = MonitorSet::new();
     set.push(Box::new(PieceConservation));
     set.push(Box::new(ReplicationOracle));
+    set.push(Box::new(NeighborViewOracle));
     set.push(Box::new(EntropyCollapse::new(
         entropy_floor,
         entropy_min_population,
@@ -538,6 +650,8 @@ pub struct SwarmDoctor {
     flight: FlightRecorder<DoctorFlightEvent>,
     trail: VecDeque<TelemetrySample>,
     bundle_dir: Option<PathBuf>,
+    /// Sequence number the next neighbor-view window starts from.
+    view_cursor: u64,
 }
 
 impl std::fmt::Debug for SwarmDoctor {
@@ -564,6 +678,7 @@ impl SwarmDoctor {
             flight,
             trail: VecDeque::new(),
             bundle_dir: None,
+            view_cursor: 0,
             options,
         }
     }
@@ -580,6 +695,13 @@ impl SwarmDoctor {
     #[must_use]
     pub fn options(&self) -> &DoctorOptions {
         &self.options
+    }
+
+    /// Sequence number the next sample's neighbor-view window starts
+    /// from; it advances past each checked window.
+    #[must_use]
+    pub(crate) fn view_cursor(&self) -> u64 {
+        self.view_cursor
     }
 
     /// Whether `round` is a sampled round.
@@ -607,6 +729,9 @@ impl SwarmDoctor {
             self.trail.pop_front();
         }
         self.trail.push_back(telemetry);
+        if let Some(&last) = sample.views_checked.last() {
+            self.view_cursor = last + 1;
+        }
         self.set.check(sample)
     }
 
@@ -702,14 +827,22 @@ struct FlightDumpDoc {
 ///   `piece-conservation` and `replication-oracle` fire;
 /// * [`FaultKind::IndexDrift`] bumps the replication index without any
 ///   matching grant — only `replication-oracle` fires;
+/// * [`FaultKind::ViewDrift`] bumps one neighbor-view entry without any
+///   matching link or possession — only `neighbor-view-oracle` fires;
 /// * [`FaultKind::HalfOpenConnection`] pushes a one-sided connection —
 ///   `slot-balance` fires on the odd endpoint imbalance.
+///
+/// `unaccounted-piece` also bypasses the neighbor views, so
+/// `neighbor-view-oracle` fires with it once a neighbor of the target
+/// is checked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Grant a peer a piece behind the engine's back.
     UnaccountedPiece,
     /// Bump the replication index with no matching possession.
     IndexDrift,
+    /// Bump one neighbor-view entry with no matching link or possession.
+    ViewDrift,
     /// Open a connection on one side only.
     HalfOpenConnection,
 }
@@ -721,10 +854,11 @@ impl std::str::FromStr for FaultKind {
         match s {
             "unaccounted-piece" => Ok(FaultKind::UnaccountedPiece),
             "index-drift" => Ok(FaultKind::IndexDrift),
+            "view-drift" => Ok(FaultKind::ViewDrift),
             "half-open-connection" => Ok(FaultKind::HalfOpenConnection),
             other => Err(format!(
                 "unknown fault kind `{other}`; use unaccounted-piece, \
-                 index-drift, or half-open-connection"
+                 index-drift, view-drift, or half-open-connection"
             )),
         }
     }
@@ -801,6 +935,8 @@ mod tests {
             replication: vec![0; 10],
             oracle: vec![0; 10],
             observers: Vec::new(),
+            views_checked: vec![1, 2, 3],
+            view_mismatches: Vec::new(),
         }
     }
 
@@ -828,6 +964,29 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].subjects, vec![3]);
         assert!(v[0].detail.contains("piece 3"), "{}", v[0].detail);
+    }
+
+    #[test]
+    fn view_oracle_fires_on_mismatch_with_subjects() {
+        let mut m = NeighborViewOracle;
+        let mut s = sample(8);
+        assert!(m.check(&s).is_empty());
+        s.view_mismatches.push(ViewMismatch {
+            peer: 2,
+            piece: 5,
+            kept: 4,
+            rebuilt: 3,
+        });
+        let v = m.check(&s);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].monitor, "neighbor-view-oracle");
+        assert_eq!(v[0].subjects, vec![2]);
+        assert!(v[0].detail.contains("1 of 3 checked"), "{}", v[0].detail);
+        assert!(
+            v[0].detail.contains("piece 5 has 4 vs rebuilt 3"),
+            "{}",
+            v[0].detail
+        );
     }
 
     #[test]
@@ -924,6 +1083,7 @@ mod tests {
             vec![
                 "piece-conservation",
                 "replication-oracle",
+                "neighbor-view-oracle",
                 "entropy-collapse",
                 "phase-monotonic",
                 "slot-balance"
@@ -940,6 +1100,10 @@ mod tests {
         assert_eq!(
             "index-drift".parse::<FaultKind>().unwrap(),
             FaultKind::IndexDrift
+        );
+        assert_eq!(
+            "view-drift".parse::<FaultKind>().unwrap(),
+            FaultKind::ViewDrift
         );
         assert_eq!(
             "half-open-connection".parse::<FaultKind>().unwrap(),

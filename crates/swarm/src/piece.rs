@@ -172,19 +172,48 @@ impl Bitfield {
     /// potential-set membership test).
     #[must_use]
     pub fn can_trade_with(&self, other: &Bitfield) -> bool {
-        self.is_interested_in(other) && other.is_interested_in(self)
+        self.trade_scan(other).0
     }
 
-    /// Pieces `other` holds that `self` lacks, in increasing order.
+    /// [`can_trade_with`](Self::can_trade_with) plus the number of
+    /// words it reads: each interest scan reads one word of both fields
+    /// per step and stops at the first word with a novel piece.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bitfields cover different files.
     #[must_use]
-    pub fn wanted_from(&self, other: &Bitfield) -> Vec<PieceId> {
+    pub fn trade_scan(&self, other: &Bitfield) -> (bool, u64) {
         assert_eq!(self.len, other.len, "bitfields cover different files");
+        let novel =
+            |mine: &[u64], theirs: &[u64]| mine.iter().zip(theirs).position(|(m, t)| t & !m != 0);
+        let all = self.words.len() as u64;
+        let Some(i) = novel(&self.words, &other.words) else {
+            return (false, 2 * all);
+        };
+        match novel(&other.words, &self.words) {
+            Some(j) => (true, 2 * (i as u64 + j as u64 + 2)),
+            None => (false, 2 * (i as u64 + 1 + all)),
+        }
+    }
+
+    /// Fills `out` (cleared first) with the pieces `other` holds that
+    /// `self` lacks, in increasing order. Reads every word of both
+    /// fields; returns that word count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bitfields cover different files.
+    pub fn wanted_into(&self, other: &Bitfield, out: &mut Vec<PieceId>) -> u64 {
+        assert_eq!(self.len, other.len, "bitfields cover different files");
+        out.clear();
         let words = self
             .words
             .iter()
             .zip(&other.words)
             .map(|(mine, theirs)| theirs & !mine);
-        WordBits::new(words).collect()
+        out.extend(WordBits::new(words));
+        2 * self.words.len() as u64
     }
 
     /// A uniformly random missing piece, or `None` if complete.
@@ -315,15 +344,33 @@ mod tests {
     }
 
     #[test]
-    fn wanted_from_lists_difference() {
+    fn wanted_into_lists_difference() {
         let mut a = Bitfield::new(5);
         let mut b = Bitfield::new(5);
         a.set(0);
         b.set(0);
         b.set(2);
         b.set(4);
-        assert_eq!(a.wanted_from(&b), vec![2, 4]);
-        assert!(b.wanted_from(&a).is_empty());
+        let mut out = vec![9];
+        assert_eq!(a.wanted_into(&b, &mut out), 2, "one word of each field");
+        assert_eq!(out, vec![2, 4]);
+        b.wanted_into(&a, &mut out);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn trade_scan_matches_can_trade_and_counts_words_read() {
+        // 130 pieces = 3 words per field.
+        let mut a = Bitfield::new(130);
+        let mut b = Bitfield::new(130);
+        assert_eq!(a.trade_scan(&b), (false, 6), "no novelty: one full scan");
+        b.set(70); // b's novelty sits in word 1
+        assert_eq!(a.trade_scan(&b), (false, 2 * (2 + 3)));
+        a.set(0); // a's novelty sits in word 0
+        assert_eq!(a.trade_scan(&b), (true, 2 * (2 + 1)));
+        for (x, y) in [(&a, &b), (&b, &a), (&a, &a)] {
+            assert_eq!(x.trade_scan(y).0, x.can_trade_with(y));
+        }
     }
 
     #[test]

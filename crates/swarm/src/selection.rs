@@ -1,8 +1,7 @@
 //! Piece-selection strategies (§2.1): rarest-first and random-first.
 //!
-//! Selection is generic over a [`Substream`] — a source of uniform
-//! picks. The serial engine path feeds it the model `StdRng`; the
-//! parallel exchange plan phase feeds it a [`PlanStream`], a stateless
+//! Ranking is generic over a [`Substream`] — a source of uniform picks.
+//! The exchange plan phase feeds it a [`PlanStream`], a stateless
 //! per-pair-direction SplitMix64 stream keyed off run identity alone so
 //! that decisions are independent of worker count and shard layout.
 
@@ -13,11 +12,11 @@ use crate::piece::{Bitfield, PieceId};
 
 /// A source of uniform random picks for piece selection.
 ///
-/// Implemented by the model RNG (`StdRng`, the serial engine path) and
-/// by [`PlanStream`] (the parallel plan phase). Keeping selection
-/// generic over this trait — rather than `rand::Rng` — lets the plan
-/// phase draw from deterministic per-pair streams that never touch the
-/// serial model RNG.
+/// Implemented by the model RNG (`StdRng`) and by [`PlanStream`] (the
+/// exchange plan phase). Keeping ranking generic over this trait —
+/// rather than `rand::Rng` — lets the plan phase draw from
+/// deterministic per-pair streams that never touch the serial model
+/// RNG.
 pub trait Substream {
     /// Returns a uniform index in `0..n`.
     ///
@@ -85,146 +84,136 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Picks which piece to download from a connected peer.
+/// Scratch buffers [`rank_pieces`] reuses across calls, plus the work it
+/// did: the exchange plan keeps one per shard, so ranking allocates
+/// nothing per pair.
+#[derive(Debug, Default)]
+pub struct RankScratch {
+    remaining: Vec<PieceId>,
+    ties: Vec<usize>,
+    /// Bitfield words read while listing the wanted pieces.
+    pub words: u64,
+    /// Remaining-list entries scanned while looking for rarest levels.
+    pub scans: u64,
+}
+
+/// Ranks up to `limit` candidate pieces to download from a connected
+/// peer, best first, into `out` (cleared first).
 ///
 /// * `mine` — the downloader's bitfield;
 /// * `theirs` — the uploader's bitfield;
 /// * `replication` — per-piece replication counts over the downloader's
-///   neighbor set (used by rarest-first; ties broken uniformly at random);
-/// * `taken` — pieces already claimed this round on other connections
-///   (avoids downloading the same piece twice in one round).
+///   neighbor set (read by rarest-first only).
 ///
-/// Returns `None` when the uploader has nothing new to offer.
+/// Each rank is drawn from the pieces not yet ranked: uniformly over
+/// all of them for random-first, uniformly over those with the lowest
+/// replication count for rarest-first. Rarest-first scans the remaining
+/// list once per level: one pass collects the lowest count and its
+/// positions in list order, then the level drains, the tie list
+/// mirroring each `swap_remove` (the last entry moves into the hole),
+/// so every pick draws with the same bound from the same list a
+/// rescan would have built.
+///
+/// The exchange plan emits a ranked list per connection direction so
+/// the serial commit can take the first candidate still valid against
+/// live taken/possession state — a downloader invalidates at most
+/// `max_connections` candidates in one round (one claim or acquisition
+/// per other connection), so `limit = max_connections + 1` always
+/// leaves a usable candidate when one exists.
 ///
 /// # Example
 ///
 /// ```
 /// use bt_swarm::config::PieceSelection;
 /// use bt_swarm::piece::Bitfield;
-/// use bt_swarm::selection::select_piece;
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
+/// use bt_swarm::selection::{rank_pieces, PlanStream, RankScratch};
 ///
 /// let mine = Bitfield::new(4);
 /// let theirs = Bitfield::full(4);
 /// let replication = [5, 1, 5, 5]; // piece 1 is rare
-/// let mut rng = StdRng::seed_from_u64(0);
-/// let picked = select_piece(
+/// let mut stream = PlanStream::pair(0, 1, 0, 1, 0);
+/// let mut scratch = RankScratch::default();
+/// let mut ranked = Vec::new();
+/// rank_pieces(
 ///     PieceSelection::RarestFirst,
 ///     &mine,
 ///     &theirs,
 ///     &replication,
-///     &[],
-///     &mut rng,
+///     2,
+///     &mut stream,
+///     &mut scratch,
+///     &mut ranked,
 /// );
-/// assert_eq!(picked, Some(1));
+/// assert_eq!(ranked[0], 1);
+/// assert_eq!(ranked.len(), 2);
 /// ```
-pub fn select_piece<S: Substream + ?Sized>(
-    strategy: PieceSelection,
-    mine: &Bitfield,
-    theirs: &Bitfield,
-    replication: &[u64],
-    taken: &[PieceId],
-    rng: &mut S,
-) -> Option<PieceId> {
-    let mut wanted: Vec<PieceId> = mine
-        .wanted_from(theirs)
-        .into_iter()
-        .filter(|p| !taken.contains(p))
-        .collect();
-    if wanted.is_empty() {
-        // Fall back to pieces already claimed elsewhere rather than idling
-        // the connection — duplicates are deduplicated on receipt.
-        wanted = mine.wanted_from(theirs);
-    }
-    if wanted.is_empty() {
-        return None;
-    }
-    match strategy {
-        PieceSelection::RandomFirst => Some(wanted[rng.pick(wanted.len())]),
-        PieceSelection::RarestFirst => {
-            assert!(
-                replication.len() == mine.len() as usize,
-                "replication vector must cover all {} pieces",
-                mine.len()
-            );
-            let min_rep = wanted
-                .iter()
-                .map(|&p| replication[p as usize])
-                .min()
-                .expect("wanted is non-empty");
-            let rarest: Vec<PieceId> = wanted
-                .into_iter()
-                .filter(|&p| replication[p as usize] == min_rep)
-                .collect();
-            Some(rarest[rng.pick(rarest.len())])
-        }
-    }
-}
-
-/// Ranks up to `limit` candidate pieces to download from a connected
-/// peer, best first, into `out` (cleared first).
-///
-/// This is [`select_piece`] iterated without replacement: each rank is
-/// drawn by the same rule (uniform over wanted for random-first,
-/// uniform over the rarest wanted for rarest-first) from the pieces not
-/// yet ranked. The parallel exchange plan emits a ranked list per
-/// connection direction so the serial commit can take the first
-/// candidate still valid against live taken/possession state — a
-/// downloader invalidates at most `max_connections` candidates in one
-/// round (one claim or acquisition per other connection), so
-/// `limit = max_connections + 1` always leaves a usable candidate when
-/// one exists.
 ///
 /// # Panics
 ///
-/// Panics (like [`select_piece`]) if `strategy` is rarest-first and
+/// Panics if `strategy` is rarest-first, something is wanted, and
 /// `replication` does not cover all pieces.
+#[allow(clippy::too_many_arguments)]
 pub fn rank_pieces<S: Substream + ?Sized>(
     strategy: PieceSelection,
     mine: &Bitfield,
     theirs: &Bitfield,
-    replication: &[u64],
+    replication: &[u16],
     limit: usize,
     rng: &mut S,
+    scratch: &mut RankScratch,
     out: &mut Vec<PieceId>,
 ) {
     out.clear();
-    let mut remaining = mine.wanted_from(theirs);
+    let RankScratch {
+        remaining,
+        ties,
+        words,
+        scans,
+    } = scratch;
+    *words += mine.wanted_into(theirs, remaining);
     if remaining.is_empty() {
         return;
     }
-    if strategy == PieceSelection::RarestFirst {
-        assert!(
-            replication.len() == mine.len() as usize,
-            "replication vector must cover all {} pieces",
-            mine.len()
-        );
+    if strategy == PieceSelection::RandomFirst {
+        while out.len() < limit && !remaining.is_empty() {
+            let idx = rng.pick(remaining.len());
+            out.push(remaining.swap_remove(idx));
+        }
+        return;
     }
+    assert!(
+        replication.len() == mine.len() as usize,
+        "replication vector must cover all {} pieces",
+        mine.len()
+    );
     while out.len() < limit && !remaining.is_empty() {
-        let idx = match strategy {
-            PieceSelection::RandomFirst => rng.pick(remaining.len()),
-            PieceSelection::RarestFirst => {
-                let min_rep = remaining
-                    .iter()
-                    .map(|&p| replication[p as usize])
-                    .min()
-                    .expect("remaining is non-empty");
-                let ties = remaining
-                    .iter()
-                    .filter(|&&p| replication[p as usize] == min_rep)
-                    .count();
-                let nth = rng.pick(ties);
-                remaining
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &p)| replication[p as usize] == min_rep)
-                    .nth(nth)
-                    .map(|(i, _)| i)
-                    .expect("tie index within tie count")
+        *scans += remaining.len() as u64;
+        ties.clear();
+        let mut min_rep = u16::MAX;
+        for (i, &p) in remaining.iter().enumerate() {
+            let rep = replication[p as usize];
+            if rep < min_rep {
+                min_rep = rep;
+                ties.clear();
             }
-        };
-        out.push(remaining.swap_remove(idx));
+            if rep == min_rep {
+                ties.push(i);
+            }
+        }
+        while out.len() < limit && !ties.is_empty() {
+            let nth = rng.pick(ties.len());
+            let idx = ties[nth];
+            let last = remaining.len() - 1;
+            out.push(remaining.swap_remove(idx));
+            if ties.last() == Some(&last) {
+                // The list's last entry is a tie: it moved into the hole
+                // at `idx`, which keeps its place in position order (or
+                // it was the pick itself, and `nth` is the last tie).
+                ties.pop();
+            } else {
+                ties.remove(nth);
+            }
+        }
     }
 }
 
@@ -234,10 +223,9 @@ pub fn rank_pieces<S: Substream + ?Sized>(
 ///
 /// The engine no longer calls this on its hot paths: global counts come
 /// from the incrementally maintained [`crate::replication::ReplicationIndex`],
-/// and neighbor-local views are accumulated word-wise by the exchange
-/// stage. This from-scratch rebuild is kept as the *oracle* the
-/// property tests and [`crate::engine::Swarm::assert_invariants`] check
-/// the index against.
+/// and neighbor-local views from the peer store's view table. This
+/// from-scratch rebuild is kept as the *oracle* the property tests and
+/// [`crate::engine::Swarm::assert_invariants`] check the index against.
 #[must_use]
 pub fn replication_counts<'a, I>(pieces: u32, fields: I) -> Vec<u64>
 where
@@ -255,6 +243,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -266,6 +255,71 @@ mod tests {
         b
     }
 
+    /// Ranks with a fresh scratch; returns the ranked list.
+    fn rank<S: Substream>(
+        strategy: PieceSelection,
+        mine: &Bitfield,
+        theirs: &Bitfield,
+        replication: &[u16],
+        limit: usize,
+        rng: &mut S,
+    ) -> Vec<PieceId> {
+        let mut out = vec![u32::MAX];
+        rank_pieces(
+            strategy,
+            mine,
+            theirs,
+            replication,
+            limit,
+            rng,
+            &mut RankScratch::default(),
+            &mut out,
+        );
+        out
+    }
+
+    /// The ranker as it was before the one-scan rewrite: per rank, one
+    /// pass for the minimum, one to count its ties, one to find the
+    /// picked tie. The property test below holds the rewrite to it.
+    fn reference_rank<S: Substream>(
+        strategy: PieceSelection,
+        mine: &Bitfield,
+        theirs: &Bitfield,
+        replication: &[u16],
+        limit: usize,
+        rng: &mut S,
+    ) -> Vec<PieceId> {
+        let mut out = Vec::new();
+        let mut remaining = Vec::new();
+        mine.wanted_into(theirs, &mut remaining);
+        while out.len() < limit && !remaining.is_empty() {
+            let idx = match strategy {
+                PieceSelection::RandomFirst => rng.pick(remaining.len()),
+                PieceSelection::RarestFirst => {
+                    let min_rep = remaining
+                        .iter()
+                        .map(|&p| replication[p as usize])
+                        .min()
+                        .expect("remaining is non-empty");
+                    let ties = remaining
+                        .iter()
+                        .filter(|&&p| replication[p as usize] == min_rep)
+                        .count();
+                    let nth = rng.pick(ties);
+                    remaining
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &p)| replication[p as usize] == min_rep)
+                        .nth(nth)
+                        .map(|(i, _)| i)
+                        .expect("tie index within tie count")
+                }
+            };
+            out.push(remaining.swap_remove(idx));
+        }
+        out
+    }
+
     #[test]
     fn rarest_first_picks_minimum_replication() {
         let mine = bf(5, &[0]);
@@ -273,15 +327,15 @@ mod tests {
         let replication = [9, 4, 1, 4, 9];
         let mut rng = StdRng::seed_from_u64(0);
         for _ in 0..10 {
-            let p = select_piece(
+            let p = rank(
                 PieceSelection::RarestFirst,
                 &mine,
                 &theirs,
                 &replication,
-                &[],
+                1,
                 &mut rng,
             );
-            assert_eq!(p, Some(2));
+            assert_eq!(p, vec![2]);
         }
     }
 
@@ -293,15 +347,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..100 {
-            let p = select_piece(
+            let p = rank(
                 PieceSelection::RarestFirst,
                 &mine,
                 &theirs,
                 &replication,
-                &[],
+                1,
                 &mut rng,
-            )
-            .unwrap();
+            )[0];
             assert!(p < 2, "only pieces 0 and 1 are rarest, got {p}");
             seen.insert(p);
         }
@@ -316,72 +369,27 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for _ in 0..300 {
             seen.insert(
-                select_piece(
+                rank(
                     PieceSelection::RandomFirst,
                     &mine,
                     &theirs,
                     &[],
-                    &[],
+                    1,
                     &mut rng,
-                )
-                .unwrap(),
+                )[0],
             );
         }
         assert_eq!(seen.len(), 5);
     }
 
     #[test]
-    fn nothing_to_offer_returns_none() {
+    fn nothing_to_offer_ranks_nothing() {
         let mine = bf(4, &[0, 1]);
         let theirs = bf(4, &[0, 1]);
         let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(
-            select_piece(
-                PieceSelection::RandomFirst,
-                &mine,
-                &theirs,
-                &[],
-                &[],
-                &mut rng
-            ),
-            None
-        );
-    }
-
-    #[test]
-    fn taken_pieces_avoided_when_alternatives_exist() {
-        let mine = bf(4, &[]);
-        let theirs = bf(4, &[0, 1]);
-        let replication = [1, 1, 1, 1];
-        let mut rng = StdRng::seed_from_u64(4);
-        for _ in 0..20 {
-            let p = select_piece(
-                PieceSelection::RarestFirst,
-                &mine,
-                &theirs,
-                &replication,
-                &[0],
-                &mut rng,
-            );
-            assert_eq!(p, Some(1));
+        for strategy in [PieceSelection::RandomFirst, PieceSelection::RarestFirst] {
+            assert!(rank(strategy, &mine, &theirs, &[], 1, &mut rng).is_empty());
         }
-    }
-
-    #[test]
-    fn taken_fallback_when_everything_claimed() {
-        let mine = bf(4, &[]);
-        let theirs = bf(4, &[2]);
-        let mut rng = StdRng::seed_from_u64(5);
-        // Piece 2 is already claimed, but it is all the uploader has.
-        let p = select_piece(
-            PieceSelection::RandomFirst,
-            &mine,
-            &theirs,
-            &[],
-            &[2],
-            &mut rng,
-        );
-        assert_eq!(p, Some(2));
     }
 
     #[test]
@@ -415,22 +423,21 @@ mod tests {
 
     #[test]
     fn plan_stream_drives_selection() {
-        // select_piece accepts a PlanStream wherever it accepts the
-        // model RNG, and the pick lands in the wanted set.
+        // rank_pieces accepts a PlanStream wherever it accepts the model
+        // RNG, and the pick lands in the wanted set.
         let mine = bf(8, &[0]);
         let theirs = bf(8, &[1, 2, 3]);
         let mut stream = PlanStream::pair(7, 1, 0, 1, 0);
         for _ in 0..32 {
-            let p = select_piece(
+            let p = rank(
                 PieceSelection::RandomFirst,
                 &mine,
                 &theirs,
                 &[],
-                &[],
+                1,
                 &mut stream,
-            )
-            .expect("uploader has novel pieces");
-            assert!([1, 2, 3].contains(&p));
+            );
+            assert!([1, 2, 3].contains(&p[0]));
         }
     }
 
@@ -439,17 +446,14 @@ mod tests {
         let mine = bf(8, &[0]);
         let theirs = bf(8, &[1, 2, 3, 4]);
         let mut stream = PlanStream::pair(1, 1, 0, 1, 0);
-        let mut out = Vec::new();
-        rank_pieces(
+        let mut sorted = rank(
             PieceSelection::RandomFirst,
             &mine,
             &theirs,
             &[],
             10,
             &mut stream,
-            &mut out,
         );
-        let mut sorted = out.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![1, 2, 3, 4], "all wanted pieces, each once");
     }
@@ -459,26 +463,23 @@ mod tests {
         let mine = bf(8, &[]);
         let theirs = bf(8, &[0, 1, 2, 3, 4, 5, 6, 7]);
         let mut stream = PlanStream::pair(2, 1, 0, 1, 0);
-        let mut out = vec![99];
-        rank_pieces(
+        let out = rank(
             PieceSelection::RandomFirst,
             &mine,
             &theirs,
             &[],
             3,
             &mut stream,
-            &mut out,
         );
         assert_eq!(out.len(), 3);
         let full = bf(8, &[0, 1, 2, 3, 4, 5, 6, 7]);
-        rank_pieces(
+        let out = rank(
             PieceSelection::RandomFirst,
             &full,
             &theirs,
             &[],
             3,
             &mut stream,
-            &mut out,
         );
         assert!(out.is_empty(), "nothing wanted clears the output");
     }
@@ -489,7 +490,27 @@ mod tests {
         let theirs = bf(6, &[0, 1, 2, 3]);
         let replication = [9, 1, 5, 5, 0, 0];
         let mut stream = PlanStream::pair(3, 1, 0, 1, 0);
+        let out = rank(
+            PieceSelection::RarestFirst,
+            &mine,
+            &theirs,
+            &replication,
+            10,
+            &mut stream,
+        );
+        assert_eq!(out[0], 1, "unique rarest piece ranks first");
+        assert_eq!(out[3], 0, "most replicated ranks last");
+        assert!(out[1] == 2 || out[1] == 3, "ties fill the middle ranks");
+    }
+
+    #[test]
+    fn rank_pieces_counts_words_and_level_scans() {
+        let mine = bf(70, &[]);
+        let theirs = bf(70, &[1, 2, 3, 65]);
+        let replication = [[0u16; 65].as_slice(), &[0; 5]].concat();
+        let mut scratch = RankScratch::default();
         let mut out = Vec::new();
+        let mut stream = PlanStream::pair(4, 1, 0, 1, 0);
         rank_pieces(
             PieceSelection::RarestFirst,
             &mine,
@@ -497,11 +518,12 @@ mod tests {
             &replication,
             10,
             &mut stream,
+            &mut scratch,
             &mut out,
         );
-        assert_eq!(out[0], 1, "unique rarest piece ranks first");
-        assert_eq!(out[3], 0, "most replicated ranks last");
-        assert!(out[1] == 2 || out[1] == 3, "ties fill the middle ranks");
+        assert_eq!(out.len(), 4);
+        assert_eq!(scratch.words, 4, "two words of each field");
+        assert_eq!(scratch.scans, 4, "one level: a single scan of four entries");
     }
 
     #[test]
@@ -517,13 +539,83 @@ mod tests {
         let mine = bf(4, &[]);
         let theirs = bf(4, &[0]);
         let mut rng = StdRng::seed_from_u64(6);
-        let _ = select_piece(
+        let _ = rank(
             PieceSelection::RarestFirst,
             &mine,
             &theirs,
             &[1, 2],
-            &[],
+            1,
             &mut rng,
         );
+    }
+
+    /// Replication counts that make many ties: a few small levels, or
+    /// the full u16 range, with the last remaining entry forced onto
+    /// the lowest level or off it.
+    fn replication_strategy() -> impl Strategy<Value = Vec<u16>> {
+        (
+            prop::collection::vec(any::<u16>(), 1..150),
+            0u8..4,
+            prop::bool::ANY,
+        )
+            .prop_map(|(raw, levels, last_ties)| {
+                let mut reps: Vec<u16> = match levels {
+                    0 => raw.iter().map(|&r| r % 2).collect(),
+                    1 => raw.iter().map(|&r| r % 3).collect(),
+                    2 => raw.iter().map(|&r| (r % 4) * 1000).collect(),
+                    _ => raw,
+                };
+                let min = reps.iter().copied().min().unwrap_or(0);
+                if let Some(last) = reps.last_mut() {
+                    *last = if last_ties {
+                        min
+                    } else {
+                        min.saturating_add(1)
+                    };
+                }
+                reps
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The one-scan ranker returns exactly what the k+1-pass ranker
+        /// does and leaves the stream at the same point.
+        #[test]
+        fn rank_matches_k_plus_one_pass_ranker(
+            replication in replication_strategy(),
+            mine_bits in prop::collection::vec(0u8..10, 150),
+            theirs_bits in prop::collection::vec(0u8..10, 150),
+            theirs_inside_mine in prop::bool::ANY,
+            limit in 0usize..10,
+            rarest in prop::bool::ANY,
+            key in any::<u64>(),
+        ) {
+            let pieces = replication.len() as u32;
+            let mut mine = Bitfield::new(pieces);
+            let mut theirs = Bitfield::new(pieces);
+            for p in 0..pieces {
+                let mine_has = mine_bits[p as usize] < 3;
+                if mine_has {
+                    mine.set(p);
+                }
+                // Nothing wanted: the uploader holds a subset of mine.
+                if theirs_bits[p as usize] < 6 && (!theirs_inside_mine || mine_has) {
+                    theirs.set(p);
+                }
+            }
+            let strategy = if rarest {
+                PieceSelection::RarestFirst
+            } else {
+                PieceSelection::RandomFirst
+            };
+            let mut expected_stream = PlanStream::pair(key, 1, 2, 3, 0);
+            let expected = reference_rank(strategy, &mine, &theirs, &replication, limit, &mut expected_stream);
+            let mut stream = PlanStream::pair(key, 1, 2, 3, 0);
+            let got = rank(strategy, &mine, &theirs, &replication, limit, &mut stream);
+            prop_assert_eq!(&got, &expected);
+            prop_assert_eq!(stream.pick(usize::MAX), expected_stream.pick(usize::MAX), "draw count differs");
+        }
     }
 }

@@ -15,9 +15,12 @@
 //! cohort, piece-cell, and profiler events all land in deterministic
 //! order.
 //!
-//! Candidates are ranked against *start-of-round* bitfields: the
-//! paper's peers select against the replication state advertised at the
-//! start of the round, not against in-flight deliveries. Block
+//! Candidates are ranked against *start-of-round* replication views:
+//! the paper's peers select against the replication state advertised at
+//! the start of the round, not against in-flight deliveries. The views
+//! are the peer store's incrementally maintained neighbor-local counts
+//! ([`crate::store::PeerStore::view`]); plan reads every view before
+//! commit writes any, so no acquisition needs buffering. Block
 //! continuity (finishing an in-flight partial piece) is resolved live
 //! at commit — it depends on mid-round partial state but needs no
 //! randomness.
@@ -25,7 +28,7 @@
 use crate::engine::{CoreView, SwarmCore};
 use crate::peer::{Peer, PeerId};
 use crate::piece::Bitfield;
-use crate::selection::{rank_pieces, PlanStream};
+use crate::selection::{rank_pieces, PlanStream, RankScratch};
 use crate::stages::RoundStage;
 
 /// Executes the round's exchanges under strict tit-for-tat: every
@@ -35,11 +38,10 @@ use crate::stages::RoundStage;
 /// slot-indexed scratch tables reused across rounds (the generational
 /// store keeps slot indices dense, so the tables stay small):
 ///
-/// * `rep` — the downloader's neighbor-local replication view, computed
-///   once per round from pre-exchange bitfields for every pair member;
 /// * `taken` — pieces already claimed this round per peer;
 /// * `budgets` — remaining upload budget (slow-peer bandwidth class);
-/// * `plans` — per-pair ranked candidate lists from the plan phase.
+/// * `plans` — per-pair ranked candidate lists from the plan phase;
+/// * `scratch` — one ranking scratch per plan shard.
 ///
 /// `stamp` marks which slots were initialized this round; stale entries
 /// from earlier rounds are never read, so nothing needs clearing.
@@ -47,11 +49,10 @@ use crate::stages::RoundStage;
 pub struct ExchangePieces {
     pairs: Vec<(PeerId, PeerId)>,
     stamp: Vec<u64>,
-    rep: Vec<Vec<u64>>,
     taken: Vec<Vec<u32>>,
     budgets: Vec<u32>,
     plans: Vec<PairPlan>,
-    involved: Vec<PeerId>,
+    scratch: Vec<RankScratch>,
     threads: u32,
 }
 
@@ -101,32 +102,14 @@ fn resolve_candidate(
         })
 }
 
-/// Fills the neighbor-local replication views for one shard of involved
-/// peers, counting scanned bitfield words into `words` for cost
-/// attribution.
-fn fill_rep_shard(view: CoreView<'_>, tasks: &mut [(PeerId, &mut Vec<u64>)], words: &mut u64) {
-    let pieces = view.config.pieces as usize;
-    let words_per_field = (pieces as u64).div_ceil(64);
-    for (id, counts) in tasks {
-        let peer = view.store.peer(*id);
-        counts.clear();
-        counts.resize(pieces, 0);
-        for &n in &peer.neighbors {
-            if let Some(other) = view.store.get(n) {
-                other.have.accumulate_into(counts);
-                *words += words_per_field;
-            }
-        }
-    }
-}
-
 /// Plans one shard of connection pairs: per direction, a ranked
-/// candidate list drawn from that direction's [`PlanStream`].
+/// candidate list drawn from that direction's [`PlanStream`] against
+/// the downloader's neighbor view.
 fn plan_pairs_shard(
     view: CoreView<'_>,
-    rep: &[Vec<u64>],
     pairs: &[(PeerId, PeerId)],
     plans: &mut [PairPlan],
+    scratch: &mut RankScratch,
 ) {
     let strategy = view.config.piece_selection;
     let seed = view.config.seed;
@@ -137,51 +120,42 @@ fn plan_pairs_shard(
     for (&(a, b), plan) in pairs.iter().zip(plans) {
         let peer_a = view.store.peer(a);
         let peer_b = view.store.peer(b);
-        let mut stream = PlanStream::pair(seed, view.round, a.seq(), b.seq(), 0);
-        rank_pieces(
-            strategy,
-            &peer_a.have,
-            &peer_b.have,
-            &rep[a.slot() as usize],
-            limit,
-            &mut stream,
-            &mut plan.down_lo,
-        );
-        let mut stream = PlanStream::pair(seed, view.round, a.seq(), b.seq(), 1);
-        rank_pieces(
-            strategy,
-            &peer_b.have,
-            &peer_a.have,
-            &rep[b.slot() as usize],
-            limit,
-            &mut stream,
-            &mut plan.down_hi,
-        );
+        for (dir, down, mine, theirs, out) in [
+            (0, a, peer_a, peer_b, &mut plan.down_lo),
+            (1, b, peer_b, peer_a, &mut plan.down_hi),
+        ] {
+            let mut stream = PlanStream::pair(seed, view.round, a.seq(), b.seq(), dir);
+            rank_pieces(
+                strategy,
+                &mine.have,
+                &theirs.have,
+                view.store.view(down),
+                limit,
+                &mut stream,
+                scratch,
+                out,
+            );
+        }
     }
 }
 
 impl ExchangePieces {
-    /// The read-only plan phase: initializes the round's scratch tables,
-    /// fills the neighbor-local replication views, and ranks candidate
-    /// pieces for every pair direction — sharded across the configured
-    /// worker count. Returns the number of bitfield words scanned while
-    /// accumulating replication views, for cost attribution.
-    fn plan(&mut self, core: &SwarmCore) -> u64 {
+    /// The read-only plan phase: initializes the round's scratch tables
+    /// and ranks candidate pieces for every pair direction — sharded
+    /// across the configured worker count. Returns the bitfield words
+    /// read and the remaining-list entries scanned while ranking.
+    fn plan(&mut self, core: &SwarmCore) -> (u64, u64) {
         let round = core.round;
         let view = core.view();
 
         // Serial prepare walk: stamp the slots involved this round and
-        // reset their budgets and claim lists. Views are computed from
-        // pre-exchange bitfields: the paper's peers select against the
-        // replication state advertised at the start of the round.
+        // reset their budgets and claim lists.
         let capacity = view.store.capacity();
         if self.stamp.len() < capacity {
             self.stamp.resize(capacity, 0);
-            self.rep.resize_with(capacity, Vec::new);
             self.taken.resize_with(capacity, Vec::new);
             self.budgets.resize(capacity, 0);
         }
-        self.involved.clear();
         for &(a, b) in &self.pairs {
             for id in [a, b] {
                 let slot = id.slot() as usize;
@@ -189,7 +163,6 @@ impl ExchangePieces {
                     continue;
                 }
                 self.stamp[slot] = round;
-                self.involved.push(id);
                 // Heterogeneous bandwidth: slow peers can serve only a
                 // bounded number of block-transfers per round.
                 self.budgets[slot] = if view.store.peer(id).slow {
@@ -200,66 +173,46 @@ impl ExchangePieces {
                 self.taken[slot].clear();
             }
         }
-        let workers = (self.threads.max(1) as usize).min(self.involved.len().max(1));
 
-        // Parallel replication-view fill. Each involved peer owns a
-        // distinct slot, so handing shards disjoint `&mut` count
-        // buffers needs no locking: the buffers come from one
-        // `iter_mut` pass (slot order) zipped against the involved ids
-        // sorted the same way.
-        self.involved.sort_unstable_by_key(|id| id.slot());
-        let stamp = &self.stamp;
-        let mut tasks: Vec<(PeerId, &mut Vec<u64>)> = self
-            .involved
-            .iter()
-            .copied()
-            .zip(
-                self.rep
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|&(slot, _)| stamp[slot] == round)
-                    .map(|(_, counts)| counts),
-            )
-            .collect();
-        let mut lane_words = vec![0u64; workers];
+        // Parallel pair planning over the immutable neighbor views.
+        self.plans.resize_with(self.pairs.len(), PairPlan::default);
+        let workers = (self.threads.max(1) as usize).min(self.pairs.len().max(1));
+        if self.scratch.len() < workers {
+            self.scratch.resize_with(workers, RankScratch::default);
+        }
         if workers <= 1 {
-            fill_rep_shard(view, &mut tasks, &mut lane_words[0]);
+            plan_pairs_shard(view, &self.pairs, &mut self.plans, &mut self.scratch[0]);
         } else {
-            let shard = tasks.len().div_ceil(workers).max(1);
+            let shard = self.pairs.len().div_ceil(workers).max(1);
+            let pairs = &self.pairs;
             std::thread::scope(|scope| {
-                for (task_shard, words) in tasks.chunks_mut(shard).zip(lane_words.iter_mut()) {
-                    scope.spawn(move || fill_rep_shard(view, task_shard, words));
+                for ((pair_shard, plan_shard), scratch) in pairs
+                    .chunks(shard)
+                    .zip(self.plans.chunks_mut(shard))
+                    .zip(self.scratch.iter_mut())
+                {
+                    scope.spawn(move || plan_pairs_shard(view, pair_shard, plan_shard, scratch));
                 }
             });
         }
         // Fixed lane-order merge (summation commutes, but the order is
         // pinned anyway so the merge never becomes scheduling-visible).
-        let words_scanned: u64 = lane_words.iter().sum();
-
-        // Parallel pair planning over immutable replication views.
-        self.plans.resize_with(self.pairs.len(), PairPlan::default);
-        let rep = &self.rep;
-        let pair_workers = (self.threads.max(1) as usize).min(self.pairs.len().max(1));
-        if pair_workers <= 1 {
-            plan_pairs_shard(view, rep, &self.pairs, &mut self.plans);
-        } else {
-            let shard = self.pairs.len().div_ceil(pair_workers).max(1);
-            let pairs = &self.pairs;
-            std::thread::scope(|scope| {
-                for (pair_shard, plan_shard) in
-                    pairs.chunks(shard).zip(self.plans.chunks_mut(shard))
-                {
-                    scope.spawn(move || plan_pairs_shard(view, rep, pair_shard, plan_shard));
-                }
-            });
-        }
-        words_scanned
+        self.scratch
+            .iter_mut()
+            .fold((0, 0), |(words, scans), lane| {
+                (
+                    words + std::mem::take(&mut lane.words),
+                    scans + std::mem::take(&mut lane.scans),
+                )
+            })
     }
 
     /// The serial, RNG-free commit phase: applies planned decisions in
-    /// canonical pair order. Returns the number of block transfers.
-    fn commit(&mut self, core: &mut SwarmCore) -> u64 {
+    /// canonical pair order. Returns the number of block transfers and
+    /// the bitfield words the live tradability re-checks read.
+    fn commit(&mut self, core: &mut SwarmCore) -> (u64, u64) {
         let mut transfers = 0u64;
+        let mut words = 0u64;
         for i in 0..self.pairs.len() {
             let (a, b) = self.pairs[i];
             let (slot_a, slot_b) = (a.slot() as usize, b.slot() as usize);
@@ -269,12 +222,9 @@ impl ExchangePieces {
             }
             // Re-check tradability live: earlier commits this round may
             // have exhausted the novelty.
-            if !core
-                .store
-                .peer(a)
-                .have
-                .can_trade_with(&core.store.peer(b).have)
-            {
+            let (tradable, read) = core.store.peer(a).have.trade_scan(&core.store.peer(b).have);
+            words += read;
+            if !tradable {
                 core.store.peer_mut(a).connections.retain(|&p| p != b);
                 core.store.peer_mut(b).connections.retain(|&p| p != a);
                 core.audit.conn_closed += 1;
@@ -319,7 +269,7 @@ impl ExchangePieces {
             self.budgets[slot_a] = self.budgets[slot_a].saturating_sub(1);
             self.budgets[slot_b] = self.budgets[slot_b].saturating_sub(1);
         }
-        transfers
+        (transfers, words)
     }
 }
 
@@ -334,15 +284,39 @@ impl RoundStage for ExchangePieces {
     }
 
     fn run(&mut self, core: &mut SwarmCore) {
+        if !core.store.views_live() {
+            // Lazy first build: joins and endowment before the first
+            // exchange pay for one rebuild, not per-event upkeep.
+            core.store.build_views(core.config.pieces);
+        }
         core.collect_connection_pairs(&mut self.pairs);
-        let words_scanned = self.plan(core);
+        let (plan_words, rank_scans) = self.plan(core);
+        let (transfers, commit_words) = self.commit(core);
         core.profile
-            .add_work("exchange.bitfield_words", words_scanned);
-        let transfers = self.commit(core);
+            .add_work("exchange.bitfield_words", plan_words + commit_words);
+        core.profile.add_work("exchange.rank_scans", rank_scans);
         core.profile.add_work("exchange.piece_transfers", transfers);
     }
 
     fn set_threads(&mut self, threads: u32) {
         self.threads = threads;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn resolve_prefers_unclaimed_candidates_then_falls_back_to_claimed() {
+        let mut downloader = Peer::new(PeerId::synthetic(0), 4, 0);
+        downloader.acquire(3, 0);
+        let uploader = Bitfield::full(4);
+        let resolve = |candidates: &[u32], taken: &[u32]| {
+            resolve_candidate(&downloader, &uploader, candidates, taken)
+        };
+        assert_eq!(resolve(&[0, 1], &[0]), Some(1), "claimed piece skipped");
+        assert_eq!(resolve(&[2], &[2]), Some(2), "all claimed: duplicate");
+        assert_eq!(resolve(&[3], &[]), None, "held pieces never resolve");
     }
 }

@@ -31,19 +31,10 @@ impl RoundStage for ShakePeers {
             if peer.shaken || peer.completion() < threshold {
                 continue;
             }
-            // Take the neighbor list instead of cloning it; shake()
-            // clears the (now empty) list anyway.
-            core.audit.conn_closed += core.store.peer(id).connections.len() as u64;
-            let ex_neighbors = std::mem::take(&mut core.store.peer_mut(id).neighbors);
-            core.store.peer_mut(id).shake();
+            core.shake_peer(id);
             core.obs.shakes.incr();
             core.cohort.shake(core.round, id.seq());
             shaken += 1;
-            for &other in &ex_neighbors {
-                if let Some(o) = core.store.get_mut(other) {
-                    o.remove_neighbor(id);
-                }
-            }
         }
         core.profile.add_work("shake.peers_shaken", shaken);
         core.audit.shaken_peers += shaken;

@@ -17,10 +17,19 @@
 //! (connection pairs, credit maps, observer windows, telemetry) behaves
 //! exactly as if ids were plain arrival numbers, regardless of which
 //! slot a peer happens to occupy.
+//!
+//! The store also keeps every peer's *neighbor-local replication view*
+//! ([`PeerStore::view`]): per piece, how many of the peer's neighbors
+//! hold it — the counts rarest-first ranks against (§2.1). The views are
+//! one flat slot-indexed `u16` table, updated by the engine at every
+//! site that changes a neighbor set or a bitfield. The table is built
+//! lazily from scratch ([`PeerStore::build_views`]); until then every
+//! upkeep call is a no-op.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::peer::Peer;
+use crate::piece::Bitfield;
 
 /// Identifier of a peer: an arrival sequence number plus the slot and
 /// generation that make it resolvable in a [`PeerStore`].
@@ -137,6 +146,14 @@ pub struct PeerStore {
     /// `Sync` for sharded execution; wraps on overflow — consumers diff
     /// consecutive readings, so only deltas are meaningful.
     probes: std::sync::atomic::AtomicU64,
+    /// Neighbor-local replication views, `view_width` counts per slot;
+    /// entry `p` of a slot counts the occupant's neighbors holding piece
+    /// `p`. Empty (`view_width == 0`) until [`build_views`](Self::build_views).
+    views: Vec<u16>,
+    view_width: usize,
+    /// Lifetime count of view entries changed by upkeep (same delta
+    /// semantics as `probes`).
+    view_updates: u64,
 }
 
 impl Clone for PeerStore {
@@ -147,6 +164,9 @@ impl Clone for PeerStore {
             next_seq: self.next_seq,
             len: self.len,
             probes: std::sync::atomic::AtomicU64::new(self.probe_count()),
+            views: self.views.clone(),
+            view_width: self.view_width,
+            view_updates: self.view_updates,
         }
     }
 }
@@ -201,6 +221,15 @@ impl PeerStore {
         self.next_seq += 1;
         self.slots[slot as usize].peer = Some(f(id));
         self.len += 1;
+        if self.views_live() {
+            // A reused slot still holds its last occupant's view.
+            let w = self.view_width;
+            let end = (slot as usize + 1) * w;
+            if self.views.len() < end {
+                self.views.resize(end, 0);
+            }
+            self.views[end - w..end].fill(0);
+        }
         id
     }
 
@@ -281,6 +310,139 @@ impl PeerStore {
         self.probes.load(std::sync::atomic::Ordering::Relaxed)
     }
 
+    /// Whether the view table has been built (upkeep is live).
+    #[must_use]
+    pub(crate) fn views_live(&self) -> bool {
+        self.view_width > 0
+    }
+
+    /// The neighbor-local replication view of alive peer `id`: per
+    /// piece, the number of its neighbors holding it. Empty before the
+    /// table is built.
+    #[must_use]
+    pub fn view(&self, id: PeerId) -> &[u16] {
+        let start = id.slot as usize * self.view_width;
+        &self.views[start..start + self.view_width]
+    }
+
+    /// Lifetime number of view entries changed by upkeep. Wraps on
+    /// overflow; diff consecutive readings to attribute updates to a
+    /// code region.
+    #[must_use]
+    pub(crate) fn view_update_count(&self) -> u64 {
+        self.view_updates
+    }
+
+    /// Rebuilds `id`'s view from scratch into `out` (one count per
+    /// piece): the lazy first build's routine and the oracle upkeep is
+    /// checked against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not alive or `out` is shorter than a neighbor's
+    /// bitfield.
+    pub(crate) fn rebuild_view_into(&self, id: PeerId, out: &mut [u16]) {
+        out.fill(0);
+        for &n in &self.peer(id).neighbors {
+            if let Some(other) = self.get(n) {
+                shift_view(out, &other.have, true);
+            }
+        }
+    }
+
+    /// The whole view table rebuilt from scratch for `pieces` pieces —
+    /// every occupied slot through [`rebuild_view_into`](Self::rebuild_view_into),
+    /// zeros for free slots.
+    fn rebuild_views(&self, pieces: u32) -> Vec<u16> {
+        let w = pieces as usize;
+        let mut table = vec![0u16; self.slots.len() * w];
+        for (slot, row) in self.slots.iter().zip(table.chunks_exact_mut(w)) {
+            if let Some(peer) = &slot.peer {
+                self.rebuild_view_into(peer.id, row);
+            }
+        }
+        table
+    }
+
+    /// Builds the view table from scratch for `pieces` pieces and turns
+    /// upkeep on.
+    pub(crate) fn build_views(&mut self, pieces: u32) {
+        self.views = self.rebuild_views(pieces);
+        self.view_width = pieces as usize;
+    }
+
+    /// The first alive peer whose maintained view differs from a
+    /// from-scratch rebuild, with the first differing piece and both
+    /// counts (kept, rebuilt); `None` when the table matches or is not
+    /// built.
+    pub(crate) fn view_divergence(&self) -> Option<(PeerId, u32, u16, u16)> {
+        if !self.views_live() {
+            return None;
+        }
+        let rebuilt = self.rebuild_views(self.view_width as u32);
+        let w = self.view_width;
+        self.iter().find_map(|peer| {
+            let slot = peer.id.slot as usize;
+            let row = &rebuilt[slot * w..(slot + 1) * w];
+            first_difference(self.view(peer.id), row)
+                .map(|(p, kept, built)| (peer.id, p, kept, built))
+        })
+    }
+
+    /// Upkeep for a link between `a` and `b` forming (`add`) or
+    /// breaking: each side's bitfield enters or leaves the other's view.
+    pub(crate) fn view_link(&mut self, a: PeerId, b: PeerId, add: bool) {
+        if !self.views_live() {
+            return;
+        }
+        for (viewer, holder) in [(a, b), (b, a)] {
+            let w = self.view_width;
+            let start = viewer.slot as usize * w;
+            let have = &self.slots[holder.slot as usize]
+                .peer
+                .as_ref()
+                .expect("linked peer is alive")
+                .have;
+            self.view_updates += shift_view(&mut self.views[start..start + w], have, add);
+        }
+    }
+
+    /// Upkeep for `id` acquiring `piece`: one more holder in every
+    /// neighbor's view.
+    pub(crate) fn view_acquired(&mut self, id: PeerId, piece: u32) {
+        if !self.views_live() {
+            return;
+        }
+        let w = self.view_width;
+        let peer = self.slots[id.slot as usize]
+            .peer
+            .as_ref()
+            .expect("acquiring peer is alive");
+        for &n in &peer.neighbors {
+            self.views[n.slot as usize * w + piece as usize] += 1;
+        }
+        self.view_updates += peer.neighbors.len() as u64;
+    }
+
+    /// Upkeep for the departure of `peer` (already removed): its
+    /// bitfield leaves every former neighbor's view.
+    pub(crate) fn view_departed(&mut self, peer: &Peer) {
+        if !self.views_live() {
+            return;
+        }
+        let w = self.view_width;
+        for &n in &peer.neighbors {
+            let start = n.slot as usize * w;
+            self.view_updates += shift_view(&mut self.views[start..start + w], &peer.have, false);
+        }
+    }
+
+    /// Fault-injection hook: one view entry, to bump with no matching
+    /// neighbor or possession change.
+    pub(crate) fn view_entry_mut(&mut self, id: PeerId, piece: u32) -> &mut u16 {
+        &mut self.views[id.slot as usize * self.view_width + piece as usize]
+    }
+
     /// Iterates over live peers in slot order.
     ///
     /// Slot order is *not* arrival order once churn has recycled slots;
@@ -289,6 +451,24 @@ impl PeerStore {
     pub fn iter(&self) -> impl Iterator<Item = &Peer> {
         self.slots.iter().filter_map(|slot| slot.peer.as_ref())
     }
+}
+
+/// Adds one to (or subtracts one from) `view[p]` for every piece `p`
+/// in `have`; returns the number of entries changed.
+fn shift_view(view: &mut [u16], have: &Bitfield, add: bool) -> u64 {
+    for p in have.iter() {
+        let count = &mut view[p as usize];
+        *count = if add { *count + 1 } else { *count - 1 };
+    }
+    u64::from(have.count())
+}
+
+/// The first index where `kept` and `rebuilt` differ, with both values.
+pub(crate) fn first_difference(kept: &[u16], rebuilt: &[u16]) -> Option<(u32, u16, u16)> {
+    kept.iter()
+        .zip(rebuilt)
+        .position(|(k, r)| k != r)
+        .map(|p| (p as u32, kept[p], rebuilt[p]))
 }
 
 #[cfg(test)]

@@ -105,6 +105,7 @@ fn healthy_run_is_clean() {
         vec![
             "piece-conservation",
             "replication-oracle",
+            "neighbor-view-oracle",
             "entropy-collapse",
             "phase-monotonic",
             "slot-balance"
@@ -156,6 +157,31 @@ fn index_drift_fires_oracle_only() {
         firing_monitors(&report),
         vec!["replication-oracle".to_string()],
         "drift with no possession is invisible to every other monitor"
+    );
+}
+
+#[test]
+fn view_drift_fires_view_oracle_only() {
+    let report = diagnose(
+        quiet_config(7),
+        Some(FaultSpec {
+            round: 5,
+            kind: FaultKind::ViewDrift,
+        }),
+        None,
+    );
+    assert!(!report.is_clean());
+    assert_eq!(
+        firing_monitors(&report),
+        vec!["neighbor-view-oracle".to_string()],
+        "a drifted view with no link or possession change is invisible to every other monitor"
+    );
+    let first = &report.report.violations[0];
+    assert_eq!(first.round, 5, "caught on the first sample after the fault");
+    assert_eq!(
+        first.subjects,
+        vec![0],
+        "the first peer in join order drifted"
     );
 }
 

@@ -598,22 +598,24 @@ MEMORY (btlab compare --mem-budget / trend):
 DOCTOR (btlab doctor / trend):
   `btlab doctor` runs a swarm with the runtime invariant monitors
   sampling every --cadence rounds: piece conservation, replication
-  index vs oracle recount, entropy floor (one-club collapse),
-  per-observer phase monotonicity, and connection-slot balance. On the
-  first violation it writes a diagnosis bundle (meta.json, flight.json,
-  telemetry.jsonl, peers.json, profile.json when profiling) to
-  `--bundle-dir/diagnosis-<run>/` and exits 1. --inject-fault KIND@ROUND
-  corrupts the swarm deliberately to validate the monitors; kinds:
-  unaccounted-piece, index-drift, half-open-connection. Every swarm,
-  doctor, and bench run appends one compact record (seed, config hash,
-  pipeline, rounds/sec, stage p95s, violation count) to the cross-run
-  ledger (`$BT_LEDGER_PATH`, default results/ledger.jsonl); `btlab
-  trend` renders per-metric trajectories over the last --last records
-  and flags values drifting beyond --tolerance against the median of
-  matching prior runs (advisory: trend itself always exits 0 on
-  readable ledgers). Before reading, trend rotates the ledger once it
-  exceeds --max-ledger-bytes (default 16 MiB; 0 disables): the oldest
-  lines move to a `.1` archive next to it.
+  index vs oracle recount, neighbor views vs rebuild (a rotating
+  window of up to 64 peers and 320 links), entropy floor (one-club
+  collapse), per-observer phase monotonicity, and connection-slot
+  balance. On the first violation it writes a diagnosis bundle
+  (meta.json, flight.json, telemetry.jsonl, peers.json, profile.json
+  when profiling) to `--bundle-dir/diagnosis-<run>/` and exits 1.
+  --inject-fault KIND@ROUND corrupts the swarm deliberately to validate
+  the monitors; kinds: unaccounted-piece, index-drift, view-drift,
+  half-open-connection. Every swarm, doctor, and bench run appends one
+  compact record (seed, config hash, pipeline, rounds/sec, stage p95s,
+  violation count) to the cross-run ledger (`$BT_LEDGER_PATH`, default
+  results/ledger.jsonl); `btlab trend` renders per-metric trajectories
+  over the last --last records and flags values drifting beyond
+  --tolerance against the median of matching prior runs (advisory:
+  trend itself always exits 0 on readable ledgers). Before reading,
+  trend rotates the ledger once it exceeds --max-ledger-bytes (default
+  16 MiB; 0 disables): the oldest lines move to a `.1` archive next to
+  it.
 
 PARALLEL EXECUTION (btlab swarm / doctor):
   --threads N shards the exchange stage's read-only plan phase across N
@@ -1115,7 +1117,7 @@ fn required(key: &str, value: &str) -> Result<String, String> {
 /// Builds the swarm a `btlab swarm` / `btlab doctor` run drives:
 /// config, optional stage ablation, optional telemetry stream and
 /// flight recorder. The caller attaches profilers or doctors and runs.
-fn build_swarm(a: &SwarmArgs) -> Result<bt_swarm::Swarm, String> {
+fn build_swarm(a: &SwarmArgs) -> Result<bt_swarm::Swarm, CliError> {
     let mut builder = bt_swarm::SwarmConfig::builder();
     builder
         .pieces(a.pieces)
@@ -1132,7 +1134,10 @@ fn build_swarm(a: &SwarmArgs) -> Result<bt_swarm::Swarm, String> {
     if a.observers > 0 {
         builder.observers(a.observers);
     }
-    let config = builder.build().map_err(|e| e.to_string())?;
+    // A config the builder rejects is bad input, like a bad flag.
+    let config = builder
+        .build()
+        .map_err(|e| CliError::Invalid(e.to_string()))?;
     let mut swarm = if a.disabled_stages.is_empty() {
         bt_swarm::Swarm::new(config)
     } else {
@@ -2777,6 +2782,19 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("completions="), "{text}");
         assert!(text.contains("final_entropy="), "{text}");
+    }
+
+    #[test]
+    fn invalid_swarm_config_is_a_usage_error() {
+        for command in ["swarm", "doctor"] {
+            let cmd = parse(&args(&[command, "--s", "65536", "--rounds", "2"])).unwrap();
+            let err = run(cmd, &mut Vec::new()).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{command}: {err}");
+            assert!(
+                err.to_string().contains("exceeds 65535"),
+                "{command}: {err}"
+            );
+        }
     }
 
     #[test]
