@@ -1,6 +1,7 @@
 //! Telemetry probe: drives a small deterministic swarm with the per-round
-//! telemetry pipeline attached and prints its entropy time series plus the
-//! observers' detected phase boundaries as TSV.
+//! telemetry pipeline attached and prints the engine's entropy and
+//! population series plus the observers' detected phase boundaries as
+//! TSV.
 //!
 //! This is the bench-side smoke for the pipeline behind
 //! `btlab swarm --telemetry` / `btlab report`: same recorder, same online
@@ -25,10 +26,7 @@ fn main() {
         .build()
         .expect("valid config");
     let mut swarm = Swarm::new(config);
-    swarm.attach_telemetry(TelemetryRecorder::new(TelemetryOptions {
-        stride: 2,
-        ..TelemetryOptions::default()
-    }));
+    swarm.attach_telemetry(TelemetryRecorder::new(TelemetryOptions::default()));
     for _ in 0..400 {
         swarm.step_round();
         if swarm.metrics().completions.len() >= 4 {
@@ -38,16 +36,12 @@ fn main() {
     let recorder = swarm.take_telemetry().expect("recorder attached");
 
     println!("# entropy series (stride 2)");
-    println!("round\tentropy\tpopulation\tutilization");
-    let entropy = recorder.store().get("entropy").expect("entropy series");
-    let population = recorder.store().get("population").expect("population series");
-    let utilization = recorder.store().get("utilization").expect("utilization series");
-    for (((round, e), (_, p)), (_, u)) in entropy
-        .iter()
-        .zip(population.iter())
-        .zip(utilization.iter())
-    {
-        println!("{round}\t{}\t{p}\t{}", bt_bench::cell(e), bt_bench::cell(u));
+    println!("round\tentropy\tpopulation");
+    let metrics = swarm.metrics();
+    for (&(round, e), &(_, p)) in metrics.entropy.iter().zip(&metrics.population) {
+        if round.is_multiple_of(2) {
+            println!("{round}\t{}\t{p}", bt_bench::cell(e));
+        }
     }
 
     println!();

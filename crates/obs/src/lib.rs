@@ -17,8 +17,8 @@
 //!    revision), how long each phase took, and final counter totals.
 //! 4. **Time series** ([`SeriesStore`], [`RingSeries`]): ring-buffer
 //!    backed per-signal sample stores with a configurable sampling
-//!    stride and bounded memory, exportable as JSON lines or CSV — the
-//!    storage layer of the swarm telemetry pipeline.
+//!    stride and bounded memory, exportable as JSON lines — the
+//!    profiler's per-round `.rounds.jsonl` series.
 //! 5. **Profiling** ([`ProfileSink`], [`ProfileReport`]): a
 //!    zero-cost-when-disabled cost-attribution profiler the swarm round
 //!    loop threads through its stages — per-stage wall time and work
@@ -34,11 +34,9 @@
 //!    [`read_ledger`]): every run appends one compact health-and-perf
 //!    record to `results/ledger.jsonl` so `btlab trend` can track
 //!    trajectories across runs instead of against a single baseline.
-//! 8. **Streaming sketches** ([`CountCells`], [`P2Quantile`]):
-//!    deterministic, dependency-free distribution summaries — exact
-//!    sharded counter cells for bounded domains and a P² quantile
-//!    estimator for unbounded ones — so per-sample telemetry work is
-//!    sublinear in population.
+//! 8. **Streaming sketches** ([`CountCells`]): exact, deterministic
+//!    counter cells over a bounded domain, so per-sample telemetry
+//!    quantiles cost O(domain) rather than a sort of the population.
 //! 9. **Peer cohorts** ([`CohortSink`], [`read_cohort`]): a
 //!    deterministic reservoir-sampled peer cohort whose members get
 //!    full binary-framed lifecycle traces at O(cohort) cost per round,
@@ -105,6 +103,6 @@ pub use profiling::{
     PROFILE_SCHEMA_VERSION,
 };
 pub use registry::{Counter, Histogram, Registry, Timer, TimerGuard, TimerSnapshot};
-pub use sketch::{CountCells, P2Quantile};
+pub use sketch::CountCells;
 pub use subscriber::{init, init_from_env, LogMode};
 pub use timeseries::{RingSeries, SeriesError, SeriesPoint, SeriesStore};

@@ -3,12 +3,11 @@
 //! [`SeriesStore`] keeps one bounded [`RingSeries`] per named scalar
 //! signal (entropy, population, utilization, …), sampled on a
 //! configurable stride. Memory is bounded by `capacity` samples per
-//! series: once a ring is full the oldest sample is evicted and counted,
-//! so a million-round run costs the same memory as a thousand-round one.
+//! series: once a ring is full the oldest sample is evicted, so a
+//! million-round run costs the same memory as a thousand-round one.
 //!
-//! The store converts to and from a flat stream of [`SeriesPoint`]s for
-//! JSON-lines / CSV export, which is what the telemetry layer streams to
-//! disk and `btlab report` reads back.
+//! The store flattens to a stream of [`SeriesPoint`]s for JSON-lines
+//! export: the profiler's per-round `.rounds.jsonl` artifact.
 //!
 //! # Example
 //!
@@ -21,7 +20,7 @@
 //! }
 //! let entropy = store.get("entropy").unwrap();
 //! assert_eq!(entropy.len(), 5); // ticks 0, 2, 4, 6, 8
-//! assert_eq!(entropy.latest(), Some((8, 0.8)));
+//! assert_eq!(entropy.iter().last(), Some((8, 0.8)));
 //! ```
 
 use std::collections::{BTreeMap, VecDeque};
@@ -30,7 +29,7 @@ use std::io::{BufRead, Write};
 use serde::{Deserialize, Serialize};
 
 /// One `(tick, value)` sample of a named series — the unit of the
-/// JSON-lines and CSV export formats.
+/// JSON-lines export format.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SeriesPoint {
     /// The series the sample belongs to.
@@ -79,7 +78,6 @@ impl From<std::io::Error> for SeriesError {
 pub struct RingSeries {
     capacity: usize,
     samples: VecDeque<(u64, f64)>,
-    evicted: u64,
 }
 
 impl RingSeries {
@@ -87,14 +85,12 @@ impl RingSeries {
         RingSeries {
             capacity,
             samples: VecDeque::with_capacity(capacity.min(1024)),
-            evicted: 0,
         }
     }
 
     fn push(&mut self, tick: u64, value: f64) {
         if self.samples.len() == self.capacity {
             self.samples.pop_front();
-            self.evicted += 1;
         }
         self.samples.push_back((tick, value));
     }
@@ -111,41 +107,9 @@ impl RingSeries {
         self.samples.is_empty()
     }
 
-    /// Samples evicted to honor the capacity bound.
-    #[must_use]
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// The most recent sample, if any.
-    #[must_use]
-    pub fn latest(&self) -> Option<(u64, f64)> {
-        self.samples.back().copied()
-    }
-
     /// Iterates over retained `(tick, value)` samples, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
         self.samples.iter().copied()
-    }
-
-    /// Mean of the retained values, `None` when empty.
-    #[must_use]
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        Some(self.samples.iter().map(|&(_, v)| v).sum::<f64>() / self.samples.len() as f64)
-    }
-
-    /// Minimum retained value with its tick, `None` when empty. NaN
-    /// samples are skipped (they are unordered).
-    #[must_use]
-    pub fn min(&self) -> Option<(u64, f64)> {
-        self.samples
-            .iter()
-            .filter(|&&(_, v)| !v.is_nan())
-            .copied()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
     }
 }
 
@@ -168,18 +132,6 @@ impl SeriesStore {
             capacity: capacity.max(1),
             series: BTreeMap::new(),
         }
-    }
-
-    /// The sampling stride.
-    #[must_use]
-    pub fn stride(&self) -> u64 {
-        self.stride
-    }
-
-    /// The per-series capacity bound.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Whether `tick` falls on the sampling stride.
@@ -207,12 +159,6 @@ impl SeriesStore {
         self.series.get(name)
     }
 
-    /// All series names, sorted.
-    #[must_use]
-    pub fn names(&self) -> Vec<&str> {
-        self.series.keys().map(String::as_str).collect()
-    }
-
     /// Flattens the retained samples into a point stream, ordered by
     /// series name then tick.
     #[must_use]
@@ -230,17 +176,6 @@ impl SeriesStore {
         out
     }
 
-    /// Rebuilds a store from a point stream. Points are recorded in the
-    /// given order; ticks off the stride are dropped, as on live capture.
-    #[must_use]
-    pub fn from_points(stride: u64, capacity: usize, points: &[SeriesPoint]) -> Self {
-        let mut store = SeriesStore::new(stride, capacity);
-        for p in points {
-            store.record(&p.series, p.tick, p.value);
-        }
-        store
-    }
-
     /// Writes the retained samples as JSON lines, one [`SeriesPoint`] per
     /// line.
     ///
@@ -254,20 +189,6 @@ impl SeriesStore {
                 detail: e.to_string(),
             })?;
             writeln!(w, "{line}")?;
-        }
-        Ok(())
-    }
-
-    /// Writes the retained samples as CSV with a `series,tick,value`
-    /// header.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SeriesError::Io`] on write failure.
-    pub fn write_csv<W: Write>(&self, w: &mut W) -> Result<(), SeriesError> {
-        writeln!(w, "series,tick,value")?;
-        for p in self.points() {
-            writeln!(w, "{},{},{}", p.series, p.tick, p.value)?;
         }
         Ok(())
     }
@@ -316,37 +237,24 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bounds_memory_and_counts_evictions() {
+    fn capacity_bounds_memory() {
         let mut store = SeriesStore::new(1, 4);
         for tick in 0..10 {
             store.record("x", tick, tick as f64);
         }
         let ring = store.get("x").unwrap();
         assert_eq!(ring.len(), 4);
-        assert_eq!(ring.evicted(), 6);
         let ticks: Vec<u64> = ring.iter().map(|(t, _)| t).collect();
         assert_eq!(ticks, vec![6, 7, 8, 9], "oldest samples evicted first");
-        assert_eq!(ring.latest(), Some((9, 9.0)));
     }
 
     #[test]
     fn degenerate_parameters_are_normalized() {
-        let store = SeriesStore::new(0, 0);
-        assert_eq!(store.stride(), 1);
-        assert_eq!(store.capacity(), 1);
-    }
-
-    #[test]
-    fn summary_statistics() {
-        let mut store = SeriesStore::new(1, 16);
-        for (tick, v) in [(0, 0.5), (1, 0.2), (2, 0.8)] {
-            store.record("e", tick, v);
-        }
-        let ring = store.get("e").unwrap();
-        assert_eq!(ring.min(), Some((1, 0.2)));
-        assert!((ring.mean().unwrap() - 0.5).abs() < 1e-12);
-        assert!(store.get("missing").is_none());
-        assert_eq!(store.names(), vec!["e"]);
+        // Stride 1 keeps both ticks; capacity 1 keeps only the last.
+        let mut store = SeriesStore::new(0, 0);
+        store.record("x", 0, 1.0);
+        store.record("x", 1, 2.0);
+        assert_eq!(store.get("x").unwrap().iter().collect::<Vec<_>>(), vec![(1, 2.0)]);
     }
 
     #[test]
@@ -360,18 +268,7 @@ mod tests {
         store.write_jsonl(&mut buf).unwrap();
         let points = SeriesStore::read_jsonl(&buf[..]).unwrap();
         assert_eq!(points, store.points());
-        let rebuilt = SeriesStore::from_points(1, 32, &points);
-        assert_eq!(rebuilt, store);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let mut store = SeriesStore::new(1, 8);
-        store.record("x", 0, 1.5);
-        let mut buf = Vec::new();
-        store.write_csv(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(text, "series,tick,value\nx,0,1.5\n");
+        assert!(store.get("missing").is_none());
     }
 
     #[test]
@@ -382,13 +279,5 @@ mod tests {
             SeriesError::Parse { line, .. } => assert_eq!(line, 3),
             other => panic!("expected parse error, got {other}"),
         }
-    }
-
-    #[test]
-    fn nan_values_do_not_poison_min() {
-        let mut store = SeriesStore::new(1, 8);
-        store.record("x", 0, f64::NAN);
-        store.record("x", 1, 2.0);
-        assert_eq!(store.get("x").unwrap().min(), Some((1, 2.0)));
     }
 }

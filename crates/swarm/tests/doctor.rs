@@ -283,3 +283,71 @@ fn violating_run_writes_a_complete_bundle() {
     assert!(!peers.is_empty(), "bundle captured a peer-state slice");
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn entropy_collapse_triggers_exactly_one_flight_dump() {
+    // The §6 instability: B = 3 under a heavy arrival stream. The swarm
+    // starts healthy, then one piece goes extinct among the leechers and
+    // replication entropy sits at zero for the rest of the run. The
+    // monitor is edge-triggered, so the persisting collapse fires once.
+    let config = SwarmConfig::builder()
+        .pieces(3)
+        .max_connections(3)
+        .neighbor_set_size(15)
+        .arrival_rate(20.0)
+        .initial_leechers(300)
+        .max_rounds(60)
+        .seed(1)
+        .build()
+        .expect("valid config");
+    let root = std::env::temp_dir().join(format!(
+        "bt-swarm-doctor-collapse-test-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut swarm = Swarm::with_registry(config, bt_obs::Registry::new());
+    swarm.attach_doctor(DoctorOptions {
+        cadence: 1,
+        entropy_floor: 0.05,
+        bundle_root: Some(root.clone()),
+        run_id: "collapse-test".to_string(),
+        ..DoctorOptions::default()
+    });
+    let (metrics, _profile, report) = swarm.run_diagnosed();
+    let report = report.expect("doctor was attached");
+    assert_eq!(
+        metrics.final_entropy(),
+        0.0,
+        "the collapse persists to the end of the run"
+    );
+
+    let collapses: Vec<_> = report
+        .report
+        .violations
+        .iter()
+        .filter(|v| v.monitor == "entropy-collapse")
+        .collect();
+    assert_eq!(collapses.len(), 1, "{:?}", report.report.violations);
+    let round = collapses[0].round;
+    assert!(round > 1, "the run was healthy before it collapsed");
+
+    let dir = report.bundle_dir.clone().expect("bundle was written");
+    let flight: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(dir.join("flight.json")).unwrap())
+            .unwrap();
+    assert_eq!(
+        flight.get("reason").and_then(|r| r.as_str()),
+        Some("entropy-collapse")
+    );
+    let rounds: Vec<u64> = flight
+        .get("events")
+        .and_then(|e| e.as_array())
+        .expect("events array")
+        .iter()
+        .map(|e| e.get("round").and_then(|r| r.as_u64()).expect("event round"))
+        .collect();
+    assert!(rounds.len() > 1, "the dump holds the preceding checks");
+    assert_eq!(rounds.last(), Some(&round), "the dump ends at the violation");
+    assert!(rounds.windows(2).all(|w| w[0] < w[1]), "{rounds:?}");
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -210,20 +210,10 @@ pub struct SwarmArgs {
     /// Number of observer peers for per-peer telemetry and phase
     /// detection.
     pub observers: u32,
-    /// Telemetry stream output path.
+    /// Telemetry stream (JSON lines) output path.
     pub telemetry: Option<String>,
-    /// Telemetry stream format: jsonl or csv.
-    pub telemetry_format: String,
     /// Sample every Nth round.
     pub telemetry_stride: u64,
-    /// Flight-recorder dump path (arms the anomaly triggers).
-    pub flight: Option<String>,
-    /// Flight trigger: entropy below this floor.
-    pub entropy_floor: Option<f64>,
-    /// Flight trigger: an observer stalled this many rounds.
-    pub stall_rounds: Option<u64>,
-    /// Flight-recorder ring capacity.
-    pub flight_capacity: usize,
     /// Round stages removed from the default pipeline (ablation runs).
     pub disabled_stages: Vec<String>,
     /// Cost-attribution profile output path (`profile.json`; folded
@@ -259,12 +249,7 @@ impl Default for SwarmArgs {
             json: false,
             observers: 0,
             telemetry: None,
-            telemetry_format: "jsonl".to_string(),
             telemetry_stride: 1,
-            flight: None,
-            entropy_floor: None,
-            stall_rounds: None,
-            flight_capacity: 64,
             disabled_stages: Vec::new(),
             profile: None,
             cohort: None,
@@ -500,10 +485,8 @@ btlab — multiphase-bt laboratory
 USAGE:
   btlab swarm   [--pieces N] [--k N] [--s N] [--lambda F] [--initial N]
                 [--rounds N] [--seed N] [--shake F] [--json]
-                [--observers N] [--telemetry FILE]
-                [--telemetry-format jsonl|csv] [--telemetry-stride N]
-                [--flight FILE] [--entropy-floor F] [--stall-rounds N]
-                [--flight-capacity N] [--disable-stage NAME[,NAME..]]
+                [--observers N] [--telemetry FILE] [--telemetry-stride N]
+                [--disable-stage NAME[,NAME..]]
                 [--profile FILE] [--cohort FILE] [--cohort-size N]
                 [--threads N] [--reannounce R]
                 [--heartbeat DIR] [--heartbeat-secs S]
@@ -530,14 +513,13 @@ USAGE:
   btlab help
 
 TELEMETRY (btlab swarm):
-  --telemetry FILE streams one record per line: a Meta header, then
-  per-round Sample records (population, entropy, availability histogram,
-  piece-count quantiles, slot utilization) plus Phase transitions of the
-  --observers peers and Flight notes. --flight FILE arms the anomaly
-  flight recorder: on the first trigger (--entropy-floor or
-  --stall-rounds) it dumps the last --flight-capacity per-round events as
-  JSON, exactly once per run. `btlab report` summarizes a JSONL stream
-  and compares detected phase boundaries against the analytical model.
+  --telemetry FILE streams one JSON record per line: a Meta header, then
+  a Sample record every --telemetry-stride rounds (population, entropy,
+  availability histogram, piece-count quantiles, slot utilization) and
+  the Phase transitions of the --observers peers. `btlab report`
+  summarizes the stream and compares detected phase boundaries against
+  the analytical model. Entropy collapse is caught by `btlab doctor`
+  (see DOCTOR), which dumps the preceding checks to flight.json.
 
 PROFILING (btlab swarm / profile / compare):
   --profile FILE records a deterministic cost-attribution profile: per
@@ -847,14 +829,6 @@ fn apply_swarm_flag(a: &mut SwarmArgs, key: &str, value: &str) -> Result<bool, S
         "json" => a.json = flag(key, value)?,
         "observers" => a.observers = num(key, value)?,
         "telemetry" => a.telemetry = Some(required(key, value)?),
-        "telemetry-format" => {
-            let format = required(key, value)?;
-            // Validate eagerly; the recorder re-parses at run time.
-            format
-                .parse::<bt_swarm::TelemetryFormat>()
-                .map_err(|e| format!("--{key}: {e}"))?;
-            a.telemetry_format = format;
-        }
         "telemetry-stride" => a.telemetry_stride = num(key, value)?,
         "cohort" => a.cohort = Some(required(key, value)?),
         "cohort-size" => {
@@ -885,10 +859,6 @@ fn apply_swarm_flag(a: &mut SwarmArgs, key: &str, value: &str) -> Result<bool, S
                 ));
             }
         }
-        "flight" => a.flight = Some(required(key, value)?),
-        "entropy-floor" => a.entropy_floor = Some(num(key, value)?),
-        "stall-rounds" => a.stall_rounds = Some(num(key, value)?),
-        "flight-capacity" => a.flight_capacity = num(key, value)?,
         "profile" => a.profile = Some(required(key, value)?),
         "disable-stage" => {
             for name in required(key, value)?.split(',') {
@@ -1115,8 +1085,9 @@ fn required(key: &str, value: &str) -> Result<String, String> {
 }
 
 /// Builds the swarm a `btlab swarm` / `btlab doctor` run drives:
-/// config, optional stage ablation, optional telemetry stream and
-/// flight recorder. The caller attaches profilers or doctors and runs.
+/// config, optional stage ablation, optional telemetry stream, cohort
+/// trace and heartbeat. The caller attaches profilers or doctors and
+/// runs.
 fn build_swarm(a: &SwarmArgs) -> Result<bt_swarm::Swarm, CliError> {
     let mut builder = bt_swarm::SwarmConfig::builder();
     builder
@@ -1150,25 +1121,13 @@ fn build_swarm(a: &SwarmArgs) -> Result<bt_swarm::Swarm, CliError> {
         bt_swarm::Swarm::with_pipeline(config, bt_obs::Registry::global(), stages)
     };
     swarm.set_threads(a.threads);
-    if a.telemetry.is_some() || a.flight.is_some() {
-        let format: bt_swarm::TelemetryFormat = a.telemetry_format.parse()?;
-        let flight = a.flight.as_ref().map(|path| bt_swarm::FlightOptions {
-            capacity: a.flight_capacity,
-            entropy_floor: a.entropy_floor,
-            stall_rounds: a.stall_rounds,
-            path: Some(std::path::PathBuf::from(path)),
-        });
-        let mut recorder = bt_swarm::TelemetryRecorder::new(bt_swarm::TelemetryOptions {
+    if let Some(path) = &a.telemetry {
+        let file = std::fs::File::create(path)
+            .map_err(|e| format!("cannot create telemetry file {path}: {e}"))?;
+        let recorder = bt_swarm::TelemetryRecorder::new(bt_swarm::TelemetryOptions {
             stride: a.telemetry_stride,
-            format,
-            flight,
-            ..bt_swarm::TelemetryOptions::default()
-        });
-        if let Some(path) = &a.telemetry {
-            let file = std::fs::File::create(path)
-                .map_err(|e| format!("cannot create telemetry file {path}: {e}"))?;
-            recorder = recorder.to_writer(Box::new(std::io::BufWriter::new(file)));
-        }
+        })
+        .to_writer(Box::new(std::io::BufWriter::new(file)));
         swarm.attach_telemetry(recorder);
     }
     if let Some(path) = &a.cohort {
@@ -1365,7 +1324,7 @@ pub fn run<W: std::io::Write>(command: Command, out: &mut W) -> Result<(), CliEr
 }
 
 /// Executes `btlab report`: summarizes a JSONL telemetry stream —
-/// entropy trajectory, per-observer phase boundaries, flight dumps —
+/// entropy trajectory and per-observer phase boundaries —
 /// and compares mean observer boundaries against the analytical model;
 /// and/or summarizes a binary `.cohort` trace as per-peer lifecycle
 /// trajectories (with an optional `--cohort-export` JSONL export).
@@ -1390,8 +1349,9 @@ fn run_report<W: std::io::Write>(a: &ReportArgs, out: &mut W) -> Result<(), CliE
 
 /// The telemetry half of `btlab report`. An empty stream, a stream
 /// with no Meta header, and a headed stream with zero samples are all
-/// malformed input data ([`CliError::Invalid`], exit 2) — the usual
-/// causes are a run interrupted mid-write or a CSV-format stream.
+/// malformed input data ([`CliError::Invalid`], exit 2), as is a line
+/// that is not a Meta, Sample or Phase record — the usual cause is a
+/// run interrupted mid-write.
 fn report_telemetry<W: std::io::Write>(
     a: &ReportArgs,
     telemetry: &str,
@@ -1417,10 +1377,7 @@ fn report_telemetry<W: std::io::Write>(
             _ => None,
         })
         .ok_or_else(|| {
-            CliError::Invalid(format!(
-                "telemetry stream {telemetry} has no Meta header; \
-                 report needs the jsonl format"
-            ))
+            CliError::Invalid(format!("telemetry stream {telemetry} has no Meta header"))
         })?;
 
     writeln!(out, "telemetry report: {telemetry}").map_err(io_err)?;
@@ -1569,17 +1526,6 @@ fn report_telemetry<W: std::io::Write>(
             writeln!(out, "{name:<14} {p:>10.1} {o:>10.1} {:>+8.1}", o - p).map_err(io_err)?;
         }
         writeln!(out, "completed_observers={}", durations.len()).map_err(io_err)?;
-    }
-
-    for r in &records {
-        if let TelemetryRecord::Flight(n) = r {
-            writeln!(
-                out,
-                "\nflight dump: round={} events={} reason: {}",
-                n.round, n.events, n.reason
-            )
-            .map_err(io_err)?;
-        }
     }
 
     if let Some(path) = &a.manifest {
@@ -3023,14 +2969,6 @@ mod tests {
             "t.jsonl",
             "--telemetry-stride",
             "5",
-            "--flight",
-            "f.json",
-            "--entropy-floor",
-            "0.2",
-            "--stall-rounds",
-            "40",
-            "--flight-capacity",
-            "32",
         ]))
         .unwrap();
         let Command::Swarm(a) = cmd else {
@@ -3039,18 +2977,20 @@ mod tests {
         assert_eq!(a.observers, 3);
         assert_eq!(a.telemetry.as_deref(), Some("t.jsonl"));
         assert_eq!(a.telemetry_stride, 5);
-        assert_eq!(a.flight.as_deref(), Some("f.json"));
-        assert_eq!(a.entropy_floor, Some(0.2));
-        assert_eq!(a.stall_rounds, Some(40));
-        assert_eq!(a.flight_capacity, 32);
-        // Format is validated at parse time; paths need values.
-        assert!(parse(&args(&["swarm", "--telemetry-format", "tsv"])).is_err());
         assert!(parse(&args(&["swarm", "--telemetry"])).is_err());
-        let cmd = parse(&args(&["swarm", "--telemetry-format", "csv"])).unwrap();
-        let Command::Swarm(a) = cmd else {
-            panic!("expected swarm");
-        };
-        assert_eq!(a.telemetry_format, "csv");
+        // The stream is JSON lines only and anomaly capture is the
+        // doctor's, so swarm takes no format or flight flags (the binary
+        // exits 2 on them; see tests/cli_binary.rs).
+        for (flag, value) in [
+            ("--telemetry-format", "csv"),
+            ("--flight", "f.json"),
+            ("--entropy-floor", "0.2"),
+            ("--stall-rounds", "40"),
+            ("--flight-capacity", "32"),
+        ] {
+            let err = parse(&args(&["swarm", flag, value])).unwrap_err();
+            assert_eq!(err, format!("unknown flag {flag} for swarm"));
+        }
     }
 
     #[test]
@@ -3138,8 +3078,8 @@ mod tests {
         assert_eq!(err.exit_code(), 2, "empty stream is a data error");
         assert!(err.to_string().contains("is empty"), "{err}");
 
-        // A stream with records but no Meta header (e.g. CSV format).
-        std::fs::write(&path, "{\"Flight\":{\"round\":1,\"events\":2,\"reason\":\"x\"}}\n")
+        // A stream with records but no Meta header.
+        std::fs::write(&path, "{\"Phase\":{\"peer\":1,\"round\":2,\"phase\":\"Bootstrap\"}}\n")
             .unwrap();
         let err = report(path.to_str().unwrap()).unwrap_err();
         assert_eq!(err.exit_code(), 2, "headerless stream is a data error");

@@ -315,34 +315,60 @@ fn swarm_telemetry_then_report_pipeline() {
     };
     assert_eq!(entropy_of(&summary), entropy_of(&report), "\n{summary}\n{report}");
 
-    // CSV format produces a sample table with a header.
-    let csv = dir.join("run.csv");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn removed_telemetry_and_flight_flags_exit_two() {
+    // The telemetry stream is JSON lines only, and anomaly capture
+    // belongs to `btlab doctor`: format and flight flags are usage
+    // errors.
+    for (flag, value) in [
+        ("--telemetry-format", "csv"),
+        ("--flight", "f.json"),
+        ("--entropy-floor", "0.2"),
+        ("--stall-rounds", "40"),
+        ("--flight-capacity", "32"),
+    ] {
+        let out = btlab()
+            .args(["swarm", flag, value])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag {flag} for swarm")),
+            "{flag}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn report_rejects_a_legacy_flight_line_with_exit_two() {
+    // Older builds wrote `Flight` notes into the stream. The reader
+    // knows only Meta, Sample and Phase, so report names the line and
+    // exits 2 instead of panicking.
+    let dir = std::env::temp_dir().join("btlab-e2e-legacy-flight");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let stream = dir.join("legacy.jsonl");
+    std::fs::write(
+        &stream,
+        "{\"Meta\":{\"schema_version\":1,\"pieces\":10,\"max_connections\":3,\
+         \"neighbor_set_size\":6,\"seed\":5,\"stride\":1}}\n\
+         {\"Phase\":{\"peer\":0,\"round\":1,\"phase\":\"Bootstrap\"}}\n\
+         {\"Flight\":{\"round\":9,\"reason\":\"entropy below floor\",\"events\":4}}\n",
+    )
+    .expect("write stream");
     let out = btlab()
-        .args([
-            "swarm",
-            "--pieces",
-            "10",
-            "--rounds",
-            "40",
-            "--initial",
-            "8",
-            "--seed",
-            "5",
-            "--telemetry",
-            csv.to_str().unwrap(),
-            "--telemetry-format",
-            "csv",
-        ])
+        .args(["report", "--telemetry", stream.to_str().unwrap()])
         .env("BT_MANIFEST_DIR", &dir)
         .output()
         .expect("binary runs");
-    assert!(out.status.success());
-    let text = std::fs::read_to_string(&csv).expect("csv written");
-    assert!(
-        text.starts_with("round,population,entropy"),
-        "{}",
-        text.lines().next().unwrap_or("")
-    );
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("line 3"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
